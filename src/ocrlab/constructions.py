@@ -7,6 +7,7 @@ ones draw from the counter-based stream in :mod:`ocrlab.core` so that each
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -209,7 +210,7 @@ def verify_u_family(family: UFamily, k3: int | None = None) -> UFamilyReport:
         witnesses["membership"] = (int(bad[0]), int(counts[bad[0]]))
 
     intersection_ok = True
-    for i1, i2 in combinations_iter(len(sets)):
+    for i1, i2 in itertools.combinations(range(len(sets)), 2):
         inter = len(sets[i1] & sets[i2])
         if inter > alpha:
             intersection_ok = False
@@ -217,12 +218,6 @@ def verify_u_family(family: UFamily, k3: int | None = None) -> UFamilyReport:
             break
 
     return UFamilyReport(size_ok, membership_ok, intersection_ok, witnesses)
-
-
-def combinations_iter(m: int):
-    for i1 in range(m):
-        for i2 in range(i1 + 1, m):
-            yield i1, i2
 
 
 def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,

@@ -173,9 +173,6 @@ class DecisionState:
     selected: set[int] = field(default_factory=set)
     discarded: set[int] = field(default_factory=set)
 
-    def decided(self) -> set[int]:
-        return self.selected | self.discarded
-
 
 @dataclass
 class Trace:
@@ -209,37 +206,47 @@ def allowed_actions(oracle, state: DecisionState, element: int) -> frozenset[Act
     """The nonempty subset of {Select, Discard} consistent with the oracle."""
     if element in state.selected or element in state.discarded:
         raise InconsistentState(f"element {element} already decided")
-    sel = frozenset(state.selected)
-    dis = frozenset(state.discarded)
-    acts = set()
-    if oracle.can_extend(sel, dis, pin=(element, True)):
-        acts.add(Action.SELECT)
-    if oracle.can_extend(sel, dis, pin=(element, False)):
-        acts.add(Action.DISCARD)
+    acts = frozenset(a for a in Action if oracle.can_extend(
+        state.selected, state.discarded, pin=(element, a is Action.SELECT)))
     if not acts:
         raise InconsistentState("state admits no action; it violates its invariant")
-    return frozenset(acts)
+    return acts
+
+
+_BOTH = frozenset(Action)
 
 
 def run_policy(policy, instance: Instance, order: Sequence[int],
                values: Mapping[int, float] | np.ndarray) -> Trace:
     """Run one realization: forced actions applied automatically, the policy
-    asked only when both actions are allowed."""
+    asked only when both actions are allowed. The oracle's feasibility state
+    is carried along the order, so each step costs the same however many
+    elements were decided before it."""
     oracle = instance.feasibility
+    n = instance.n
+    feas = oracle.start()
     state = DecisionState()
     steps: list[tuple[int, float, Action]] = []
     total = 0.0
     for e in order:
+        if not (0 <= e < n):
+            raise UnknownElement(f"element {e} outside [0, {n})")
         v = float(values[e])
-        acts = allowed_actions(oracle, state, e)
-        if len(acts) == 1:
-            (action,) = acts
+        if e in state.selected or e in state.discarded:
+            raise InconsistentState(f"element {e} already decided")
+        can_sel, can_dis = oracle.allowed(feas, e)
+        if can_sel and can_dis:
+            action = policy.decide(e, v, state, _BOTH)
+            if action not in _BOTH:
+                raise PolicyViolation(f"policy {policy.name!r} returned disallowed {action}")
+        elif can_sel or can_dis:
+            action = Action.SELECT if can_sel else Action.DISCARD
             policy.notify(e, v, state, action)
         else:
-            action = policy.decide(e, v, state, acts)
-            if action not in acts:
-                raise PolicyViolation(f"policy {policy.name!r} returned disallowed {action}")
-        if action is Action.SELECT:
+            raise InconsistentState("state admits no action; it violates its invariant")
+        select = action is Action.SELECT
+        feas = oracle.commit(feas, e, select)
+        if select:
             state.selected.add(e)
             total += v
         else:

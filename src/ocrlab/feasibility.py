@@ -1,37 +1,78 @@
-"""Feasibility oracles answering the extension query behind allowed actions.
+"""Feasibility oracles and the per-element state behind allowed actions.
 
-Every oracle answers ``can_extend(selected, discarded, pin)``: does some
-feasible set contain everything selected, avoid everything discarded, and
-respect an optional pin forcing one more element in or out? Oracles are
-immutable and all queries are pure.
+Every oracle summarizes the decisions of an online run in a small immutable,
+hashable state: ``start()`` is the state before any decision,
+``allowed(state, e)`` is ``(can_select, can_discard)`` for an undecided
+element ``e`` in range (whether some feasible set contains everything
+selected plus ``e``, and whether one avoids everything discarded plus
+``e``), and ``commit(state, e, select)`` is the state after deciding ``e``.
+Equal states admit the same future decisions, so a state is its own memo
+key. Per kind it is the selected count (k-uniform), the deepest selected node
+(tree path), the chosen block (partition), or the selected and discarded id
+bitmasks (explicit family, pair match, nested phase).
+
+``can_extend(selected, discarded, pin)`` asks whether some feasible set
+contains everything selected, avoids everything discarded and respects an
+optional pin forcing one more element in or out. Every oracle answers it by
+one replay: commit the decisions in id order and fail at the first one its
+state does not allow. Oracles are immutable and all queries are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import EncodingOverflow, TooLarge, UnknownElement, WrongKind
-
-Pin = tuple[int, bool] | None
 
 EXPLICIT_MAX_ELEMENTS = 24
 MATERIALIZE_MAX_ELEMENTS = 16
 NESTED_MAX_K1 = 20
 
 
-def _apply_pin(selected: frozenset[int], discarded: frozenset[int], pin: Pin):
-    if pin is None:
-        return selected, discarded
-    e, inside = pin
-    if inside:
-        return selected | {e}, discarded
-    return selected, discarded | {e}
+def _check(e: int, n: int) -> None:
+    if not (0 <= e < n):
+        raise UnknownElement(f"element {e} outside [0, {n})")
+
+
+def _replay_can_extend(oracle, selected, discarded,
+                       pin: tuple[int, bool] | None = None) -> bool:
+    """The extension query of every oracle, replayed through its state."""
+    sel, dis = set(selected), set(discarded)
+    if pin is not None:
+        (sel if pin[1] else dis).add(pin[0])
+    for e in sel | dis:
+        _check(e, oracle.n)
+    if sel & dis:
+        return False
+    state = oracle.start()
+    for e in sorted(sel | dis):
+        select = e in sel
+        if not oracle.allowed(state, e)[0 if select else 1]:
+            return False
+        state = oracle.commit(state, e, select)
+    return True
+
+
+class _MaskState:
+    """State ``(sel_mask, dis_mask)``, for kinds whose extension test
+    ``_extends(sel_mask, dis_mask)`` needs the decided sets themselves."""
+
+    def start(self) -> tuple[int, int]:
+        return 0, 0
+
+    def allowed(self, state: tuple[int, int], e: int) -> tuple[bool, bool]:
+        sm, dm = state
+        bit = 1 << e
+        return self._extends(sm | bit, dm), self._extends(sm, dm | bit)
+
+    def commit(self, state: tuple[int, int], e: int, select: bool) -> tuple[int, int]:
+        sm, dm = state
+        return (sm | 1 << e, dm) if select else (sm, dm | 1 << e)
 
 
 @dataclass(frozen=True)
-class ExplicitFamilyOracle:
+class ExplicitFamilyOracle(_MaskState):
     kind = "explicit_family"
     n: int
     sets: tuple[frozenset[int], ...]
@@ -43,26 +84,19 @@ class ExplicitFamilyOracle:
             raise ValueError("family must be nonempty")
         for s in self.sets:
             for e in s:
-                self._check(e)
+                _check(e, self.n)
         object.__setattr__(self, "_masks",
                            tuple(sum(1 << e for e in s) for s in self.sets))
-
-    def _check(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
 
     @property
     def downward_closed(self) -> bool:
         family = set(self.sets)
         return all(s - {e} in family for s in self.sets for e in s)
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, dis = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel | dis:
-            self._check(e)
-        sm = sum(1 << e for e in sel)
-        dm = sum(1 << e for e in dis)
+    def _extends(self, sm: int, dm: int) -> bool:
         return any(sm & m == sm and dm & m == 0 for m in self._masks)
+
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
         return frozenset(s) in set(self.sets)
@@ -79,17 +113,16 @@ class KUniformOracle:
         if not (0 <= self.k):
             raise ValueError("capacity must be nonnegative")
 
-    def _check(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
+    def start(self) -> int:
+        return 0
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, _ = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel:
-            self._check(e)
-        if pin is not None:
-            self._check(pin[0])
-        return len(sel) <= self.k
+    def allowed(self, count: int, e: int) -> tuple[bool, bool]:
+        return count < self.k, True
+
+    def commit(self, count: int, e: int, select: bool) -> int:
+        return count + 1 if select else count
+
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
         return len(frozenset(s)) <= self.k
@@ -116,7 +149,9 @@ def tree_offsets(k: int) -> list[int]:
 @dataclass(frozen=True)
 class TreePathOracle:
     """Feasible sets are subsets of a single root-to-leaf path: any two
-    member strings must be prefix-comparable."""
+    member strings must be prefix-comparable. The selected nodes form a
+    chain, so a node extends it exactly when it is comparable with the
+    deepest one."""
 
     kind = "tree_path"
     k: int
@@ -128,13 +163,9 @@ class TreePathOracle:
         object.__setattr__(self, "_offsets", tuple(tree_offsets(self.k)))
         object.__setattr__(self, "n", self._offsets[-1])
 
-    def _check(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
-
     def layer_index(self, e: int) -> tuple[int, int]:
         """(layer, index-within-layer), layer 1-based."""
-        self._check(e)
+        _check(e, self.n)
         offs = self._offsets
         for layer in range(1, self.k + 1):
             if e < offs[layer]:
@@ -166,22 +197,24 @@ class TreePathOracle:
             l1, m1, l2, m2 = l2, m2, l1, m1
         return m2 // self.k ** (l2 - l1) == m1
 
-    def _is_chain(self, sel: frozenset[int]) -> bool:
-        if not sel:
-            return True
-        deepest = max(sel, key=lambda e: self.layer_index(e)[0])
-        return all(self.comparable(e, deepest) for e in sel)
+    def start(self) -> int | None:
+        return None
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, _ = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel:
-            self._check(e)
-        if pin is not None:
-            self._check(pin[0])
-        return self._is_chain(sel)
+    def allowed(self, deepest: int | None, e: int) -> tuple[bool, bool]:
+        return deepest is None or self.comparable(deepest, e), True
+
+    def commit(self, deepest: int | None, e: int, select: bool) -> int | None:
+        if not select:
+            return deepest
+        # comparable nodes lie in different layers, and ids are layer-major
+        return e if deepest is None else max(deepest, e)
+
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
-        return self._is_chain(frozenset(s))
+        sel = frozenset(s)
+        deepest = max(sel, default=0)  # ids are layer-major
+        return all(self.comparable(e, deepest) for e in sel)
 
 
 @dataclass(frozen=True)
@@ -204,24 +237,23 @@ class PartitionOneBlockOracle:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_block_of", block_of)
 
-    def _check(self, e: int) -> None:
-        if e not in self._block_of:
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
+    def start(self) -> int | None:
+        return None
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, _ = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel:
-            self._check(e)
-        if pin is not None:
-            self._check(pin[0])
-        return len({self._block_of[e] for e in sel}) <= 1
+    def allowed(self, block: int | None, e: int) -> tuple[bool, bool]:
+        return block is None or self._block_of[e] == block, True
+
+    def commit(self, block: int | None, e: int, select: bool) -> int | None:
+        return self._block_of[e] if select else block
+
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
         return len({self._block_of[e] for e in frozenset(s)}) <= 1
 
 
 @dataclass(frozen=True)
-class PairMatchOracle:
+class PairMatchOracle(_MaskState):
     """Feasible sets are exactly the pairs {i, i+k}; not downward-closed."""
 
     kind = "pair_match"
@@ -231,19 +263,11 @@ class PairMatchOracle:
     def __post_init__(self):
         object.__setattr__(self, "n", 2 * self.k)
 
-    def _check(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
+    def _extends(self, sm: int, dm: int) -> bool:
+        pairs = ((1 << i) | (1 << (i + self.k)) for i in range(self.k))
+        return any(sm & ~pair == 0 and dm & pair == 0 for pair in pairs)
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, dis = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel | dis:
-            self._check(e)
-        for i in range(self.k):
-            pair = {i, i + self.k}
-            if sel <= pair and not (dis & pair):
-                return True
-        return False
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
@@ -251,7 +275,7 @@ class PairMatchOracle:
 
 
 @dataclass(frozen=True)
-class NestedPhaseOracle:
+class NestedPhaseOracle(_MaskState):
     """Feasible sets are exactly V_i | {b_j} | f_i(j): a subset of A encoding
     the index i, exactly one B element, and the completion f_i(j) inside U_i.
 
@@ -285,12 +309,8 @@ class NestedPhaseOracle:
                     f"|U|={len(u)} cannot injectively encode {k2} completions")
         object.__setattr__(self, "n", len(self.a_ids) + len(self.b_ids) + len(self.c_ids))
         object.__setattr__(self, "_a_pos", {e: t for t, e in enumerate(self.a_ids)})
-        object.__setattr__(self, "_b_pos", {e: j for j, e in enumerate(self.b_ids)})
         object.__setattr__(self, "_u_sorted", tuple(tuple(sorted(u)) for u in self.u_sets))
-
-    def _check(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
+        object.__setattr__(self, "_c_mask", sum(1 << e for e in self.c_ids))
 
     def v_set(self, i: int) -> frozenset[int]:
         return frozenset(self.a_ids[t] for t in range(len(self.a_ids)) if (i >> t) & 1)
@@ -300,40 +320,33 @@ class NestedPhaseOracle:
         u = self._u_sorted[i]
         return frozenset(u[t] for t in range(len(u)) if (j >> t) & 1)
 
-    def can_extend(self, selected, discarded, pin: Pin = None) -> bool:
-        sel, dis = _apply_pin(frozenset(selected), frozenset(discarded), pin)
-        for e in sel | dis:
-            self._check(e)
-        if sel & dis:
+    def _extends(self, sm: int, dm: int) -> bool:
+        if sm & dm:
             return False
-        a_pos = self._a_pos
-        sel_a = sum(1 << a_pos[e] for e in sel if e in a_pos)
-        dis_a = sum(1 << a_pos[e] for e in dis if e in a_pos)
-        sel_b = [self._b_pos[e] for e in sel if e in self._b_pos]
+        sel_a = sum(1 << t for t, a in enumerate(self.a_ids) if sm >> a & 1)
+        dis_a = sum(1 << t for t, a in enumerate(self.a_ids) if dm >> a & 1)
+        sel_b = [j for j, b in enumerate(self.b_ids) if sm >> b & 1]
         if len(sel_b) > 1:
             return False
-        sel_c = sel - set(self.a_ids) - set(self.b_ids)
-        dis_c = dis & set(self.c_ids)
-        k1 = len(self.a_ids)
-        free = ((1 << k1) - 1) & ~sel_a & ~dis_a
-        if len(sel_b) == 1:
-            js = [sel_b[0]]
-        else:
-            js = [j for j, b in enumerate(self.b_ids) if b not in dis]
+        js = sel_b or [j for j, b in enumerate(self.b_ids) if not dm >> b & 1]
+        sel_c, dis_c = sm & self._c_mask, dm & self._c_mask
+        free = ((1 << len(self.a_ids)) - 1) & ~sel_a & ~dis_a
         # candidate i ranges over sel_a plus any subset of the undecided A bits
         sub = free
         while True:
-            i = sel_a | sub
-            useti = self.u_sets[i]
-            if sel_c <= useti:
-                for j in js:
-                    f = self.completion(i, j)
-                    if sel_c <= f and not (f & dis_c):
-                        return True
+            u = self._u_sorted[sel_a | sub]
+            # f_i(j) holds u[t] exactly when bit t of j is set
+            need = sum(1 << t for t, c in enumerate(u) if sel_c >> c & 1)
+            avoid = sum(1 << t for t, c in enumerate(u) if dis_c >> c & 1)
+            if (sel_c & ~sum(1 << c for c in u) == 0
+                    and any(j & need == need and not j & avoid for j in js)):
+                return True
             if sub == 0:
                 break
             sub = (sub - 1) & free
         return False
+
+    can_extend = _replay_can_extend
 
     def is_feasible(self, s: Iterable[int]) -> bool:
         s = frozenset(s)

@@ -19,7 +19,7 @@ from .core import (Action, ArrivalOrder, FiniteOrderDistribution, Instance,
 from .errors import InconsistentState, TooLarge
 from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
-                          tree_offsets)
+                          materialize, tree_offsets)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class SolveResult:
         return self.value
 
 
-def _mask_sets(mask: int, n: int) -> frozenset[int]:
-    return frozenset(e for e in range(n) if (mask >> e) & 1)
-
-
 class _StateBudget:
     def __init__(self, max_states: int):
         self.max_states = max_states
@@ -63,12 +59,22 @@ class _StateBudget:
             raise TooLarge(f"state budget {self.max_states} exceeded")
 
 
-def _allowed(oracle, sel: frozenset[int], dis: frozenset[int], e: int) -> tuple[bool, bool]:
-    can_sel = oracle.can_extend(sel, dis, pin=(e, True))
-    can_dis = oracle.can_extend(sel, dis, pin=(e, False))
+def _stage(instance: Instance, state, e: int, rest) -> float:
+    """Expected value of deciding ``e`` best once its value is seen, where
+    ``rest(next_state)`` is the value of the run after it."""
+    oracle = instance.feasibility
+    can_sel, can_dis = oracle.allowed(state, e)
     if not (can_sel or can_dis):
         raise InconsistentState("state admits no action")
-    return can_sel, can_dis
+    total = 0.0
+    for v, p in instance.dists[e].atoms:
+        branches = []
+        if can_sel:
+            branches.append(v + rest(oracle.commit(state, e, True)))
+        if can_dis:
+            branches.append(rest(oracle.commit(state, e, False)))
+        total += p * max(branches)
+    return total
 
 
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
@@ -82,9 +88,12 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     ``pos + 1`` reachable states, n(n+1)/2 in all; ``max_states`` bounds
     that count and ``max_elements`` does not apply.
 
-    Every other oracle kind uses (position, selected-set mask), which is
-    exponential in n and capped by ``max_elements``; the discarded set is
-    determined by the two. ``memo`` switches that recursion's cache off.
+    Every other oracle kind uses (position, feasibility state): the
+    oracle's state summarizes everything the future depends on, so states
+    reached by different histories share one sub-problem. For k-uniform
+    constraints that is the selected count, at most n(k+1) states; the
+    mask-state kinds stay exponential in n. ``max_elements`` caps this
+    recursion, and ``memo`` switches its cache off.
     """
     limits = limits or AWARE_LIMITS
     n = instance.n
@@ -98,38 +107,22 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
 def _opt_aware_mask(instance: Instance, order: ArrivalOrder, limits: SolverLimits,
                     memo: bool = True) -> SolveResult:
     n = instance.n
-    oracle = instance.feasibility
     budget = _StateBudget(limits.max_states)
-    cache: dict[tuple[int, int], float] = {}
+    cache: dict[tuple, float] = {}
 
-    arrived_masks = [0] * (n + 1)
-    for pos, e in enumerate(order):
-        arrived_masks[pos + 1] = arrived_masks[pos] | (1 << e)
-
-    def rec(pos: int, sel_mask: int) -> float:
+    def rec(pos: int, state) -> float:
         if pos == n:
             return 0.0
-        key = (pos, sel_mask)
+        key = (pos, state)
         if memo and key in cache:
             return cache[key]
         budget.tick()
-        e = order[pos]
-        sel = _mask_sets(sel_mask, n)
-        dis = _mask_sets(arrived_masks[pos] & ~sel_mask, n)
-        can_sel, can_dis = _allowed(oracle, sel, dis, e)
-        total = 0.0
-        for v, p in instance.dists[e].atoms:
-            branches = []
-            if can_sel:
-                branches.append(v + rec(pos + 1, sel_mask | (1 << e)))
-            if can_dis:
-                branches.append(rec(pos + 1, sel_mask))
-            total += p * max(branches)
+        total = _stage(instance, state, order[pos], lambda nxt: rec(pos + 1, nxt))
         if memo:
             cache[key] = total
         return total
 
-    value = rec(0, 0)
+    value = rec(0, instance.feasibility.start())
     return SolveResult(value=value, states_expanded=budget.count)
 
 
@@ -173,10 +166,11 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
     """Value of the best algorithm that knows the order distribution but not
     the realization: expectimax over belief states.
 
-    Orders still alive in a belief share the exact identity prefix, so the
-    arrived set (hence the discarded set) is determined by (belief, position,
-    selected mask). The next element's identity splits the belief; values are
-    order-independent, so only the current element's realization enters.
+    A node is (belief, position, feasibility state): the orders still alive
+    in a belief share the exact identity prefix, and the oracle's state
+    summarizes the decisions taken on it. The next element's identity splits
+    the belief; values are order-independent, so only the current element's
+    realization enters.
     """
     limits = limits or UNAWARE_LIMITS
     n = instance.n
@@ -184,14 +178,13 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
         raise TooLarge(f"{n} elements over the limit {limits.max_elements}")
     if len(orders.orders) > limits.max_orders:
         raise TooLarge(f"{len(orders.orders)} orders over the limit {limits.max_orders}")
-    oracle = instance.feasibility
     budget = _StateBudget(limits.max_states)
     cache: dict[tuple, float] = {}
 
-    def rec(live: tuple[int, ...], pos: int, sel_mask: int) -> float:
+    def rec(live: tuple[int, ...], pos: int, state) -> float:
         if pos == n:
             return 0.0
-        key = (live, pos, sel_mask)
+        key = (live, pos, state)
         if key in cache:
             return cache[key]
         budget.tick()
@@ -199,29 +192,16 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
         groups: dict[int, list[int]] = {}
         for i in live:
             groups.setdefault(orders.orders[i][pos], []).append(i)
-        arrived = 0
-        for e in orders.orders[live[0]][:pos]:
-            arrived |= 1 << e
-        sel = _mask_sets(sel_mask, n)
-        dis = _mask_sets(arrived & ~sel_mask, n)
         total = 0.0
         for e, idxs in groups.items():
             w_g = sum(orders.weights[i] for i in idxs)
-            can_sel, can_dis = _allowed(oracle, sel, dis, e)
-            stage = 0.0
             g = tuple(idxs)
-            for v, p in instance.dists[e].atoms:
-                branches = []
-                if can_sel:
-                    branches.append(v + rec(g, pos + 1, sel_mask | (1 << e)))
-                if can_dis:
-                    branches.append(rec(g, pos + 1, sel_mask))
-                stage += p * max(branches)
+            stage = _stage(instance, state, e, lambda nxt: rec(g, pos + 1, nxt))
             total += (w_g / w_live) * stage
         cache[key] = total
         return total
 
-    value = rec(tuple(range(len(orders.orders))), 0, 0)
+    value = rec(tuple(range(len(orders.orders))), 0, instance.feasibility.start())
     return SolveResult(value=value, states_expanded=budget.count)
 
 
@@ -346,7 +326,9 @@ def exhaustive_policy_search(instance: Instance,
                              order_source: ArrivalOrder | FiniteOrderDistribution) -> float:
     """Maximum expected value over all deterministic decision rules, by raw
     recursion on observable histories — no canonicalization or memoization,
-    so it is an independent check on both exact solvers. Tiny inputs only."""
+    and allowed actions come from a containment test against the
+    materialized family rather than the oracle's state, so it is an
+    independent check on both exact solvers. Tiny inputs only."""
     n = instance.n
     if n > 8:
         raise TooLarge("exhaustive search capped at 8 elements")
@@ -360,7 +342,7 @@ def exhaustive_policy_search(instance: Instance,
         weights = (1.0,)
     if len(orders) > 8:
         raise TooLarge("exhaustive search capped at 8 orders")
-    oracle = instance.feasibility
+    family = materialize(instance.feasibility)
 
     def value(history: tuple[tuple[int, float, Action], ...]) -> float:
         ids = [e for e, _, _ in history]
@@ -376,8 +358,8 @@ def exhaustive_policy_search(instance: Instance,
         for o, w in live:
             groups[o[pos]] = groups.get(o[pos], 0.0) + w
         for e, w_g in groups.items():
-            can_sel = oracle.can_extend(sel, dis, pin=(e, True))
-            can_dis = oracle.can_extend(sel, dis, pin=(e, False))
+            can_sel = any(sel | {e} <= s and not dis & s for s in family)
+            can_dis = any(sel <= s and not (dis | {e}) & s for s in family)
             stage = 0.0
             for v, p in instance.dists[e].atoms:
                 branches = []

@@ -149,6 +149,31 @@ class TestForcedSemantics:
         with pytest.raises(PolicyViolation):
             run_policy(Bad(), _pairs_instance(), (0, 1, 2, 3), np.arange(4.0))
 
+    def test_run_policy_rejects_bad_steps(self):
+        inst = _pairs_instance()
+        with pytest.raises(InconsistentState):
+            run_policy(GreedyPolicy(), inst, (0, 1, 1, 3), np.arange(4.0))
+        with pytest.raises(UnknownElement):
+            run_policy(GreedyPolicy(), inst, (0, 1, 2, -1), np.arange(4.0))
+
+        class Stuck:
+            """An oracle whose every state admits no action."""
+
+            n = 4
+
+            def start(self):
+                return None
+
+            def allowed(self, state, e):
+                return False, False
+
+            def can_extend(self, selected, discarded, pin=None):
+                return False
+
+        stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck())
+        with pytest.raises(InconsistentState):
+            run_policy(GreedyPolicy(), stuck, (0, 1, 2, 3), np.arange(4.0))
+
 
 class TestSampleValues:
     def test_element_draw_is_positional(self):

@@ -1,11 +1,13 @@
 """Feasibility oracles: every structured oracle's extension query is
 cross-checked exhaustively against a brute-force search over its materialized
-family, including pins and inconsistent states."""
+family, including pins and inconsistent states, and its per-element state is
+walked along random online runs against the same search."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ocrlab.errors import (EncodingOverflow, TooLarge, UnknownElement, WrongKind)
@@ -46,7 +48,7 @@ def nested_demo():
                              u_sets=(frozenset({3}), frozenset({4})))
 
 
-@pytest.mark.parametrize("oracle", [
+ORACLES = [
     KUniformOracle(n=5, k=2),
     TreePathOracle(k=2),
     PartitionOneBlockOracle(blocks=((0, 1, 2), (3, 4, 5))),
@@ -54,9 +56,31 @@ def nested_demo():
     nested_demo(),
     ExplicitFamilyOracle(n=4, sets=(frozenset(), frozenset({0}),
                                     frozenset({0, 2}), frozenset({1, 3}))),
-], ids=lambda o: o.kind)
+]
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.kind)
 def test_can_extend_matches_brute_force(oracle):
     assert_matches_brute_force(oracle)
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.kind)
+def test_state_walk_matches_brute_force(oracle):
+    # an online run: random orders, a random legal action at every step
+    n = oracle.n
+    family = materialize(oracle)
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        state, sel, dis = oracle.start(), frozenset(), frozenset()
+        for e in rng.permutation(n).tolist():
+            allowed = oracle.allowed(state, e)
+            assert allowed == (brute_can_extend(family, n, sel, dis, (e, True)),
+                               brute_can_extend(family, n, sel, dis, (e, False)))
+            select = bool(rng.integers(2)) if all(allowed) else allowed[0]
+            state = oracle.commit(state, e, select)
+            hash(state)  # a state is a memo key
+            sel, dis = (sel | {e}, dis) if select else (sel, dis | {e})
+        assert sel in family
 
 
 class TestTreeLayout:

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import random_micro_instance
 from ocrlab.core import FiniteOrderDistribution, Instance, ValueDistribution
-from ocrlab.constructions import (build_pairs_instance, build_partition_scaled,
-                                  build_tree_instance, sample_tree_order)
+from ocrlab.constructions import (build_multiunit_instance, build_pairs_instance,
+                                  build_partition_scaled, build_tree_instance,
+                                  sample_tree_order)
 from ocrlab.errors import TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
@@ -94,6 +95,18 @@ class TestTreePathInduction:
         with pytest.raises(TooLarge):
             opt_aware_exact(instance, tuple(range(instance.n)),
                             limits=SolverLimits(max_states=1))
+
+
+class TestStateMemo:
+    def test_multiunit_counts_share_states(self):
+        # the k-uniform state is the selected count, so at k=5 the recursion
+        # meets at most 6 states at each of the 21 positions
+        instance, orders = build_multiunit_instance(5)
+        limits = SolverLimits(max_elements=64, max_states=10_000_000)
+        for order, value in zip(orders.orders, (9.3671875, 9.51171875)):
+            res = opt_aware_exact(instance, order, limits=limits)
+            assert res.value == value
+            assert res.states_expanded <= 21 * 6
 
 
 class TestProphet:
