@@ -2,8 +2,9 @@
 constant tables, and verification, with reproducible machine-readable reports.
 
 Exit codes: 0 success, 2 usage or invalid parameters, 3 resource limits,
-4 failed ``--check``. Simulation and ratio reports never embed wall time or
-worker counts, so reruns with different parallelism are byte-identical.
+4 failed ``--check``. Reports never embed wall time or worker counts, so
+reruns with different parallelism are byte-identical; ``exact`` prints its
+wall time on stderr.
 """
 
 from __future__ import annotations
@@ -187,9 +188,9 @@ def cmd_exact(args) -> int:
     config = {"instance": instance.name, "mode": args.mode,
               "order": args.order if args.mode == "aware" else None}
     doc = _wrap("exact", config, {"value": result.value,
-                                  "states_expanded": result.states_expanded,
-                                  "wall_time_ms": wall_ms})
+                                  "states_expanded": result.states_expanded})
     _emit(_json_text(doc), args.out)
+    sys.stderr.write(f"wall_time_ms: {wall_ms:.3f}\n")
     return 0
 
 

@@ -8,8 +8,11 @@ selected plus ``e``, and whether one avoids everything discarded plus
 ``e``), and ``commit(state, e, select)`` is the state after deciding ``e``.
 Equal states admit the same future decisions, so a state is its own memo
 key. Per kind it is the selected count (k-uniform), the deepest selected node
-(tree path), the chosen block (partition), or the selected and discarded id
-bitmasks (explicit family, pair match, nested phase).
+(tree path), the chosen block (partition), or, for the kinds with a finite
+list of members (explicit family, pair match, nested phase), the bitmask of
+the members still consistent with the decisions; with one bitmask per
+element of the members containing it, both queries and the commit are one
+AND each.
 
 ``can_extend(selected, discarded, pin)`` asks whether some feasible set
 contains everything selected, avoids everything discarded and respects an
@@ -54,25 +57,24 @@ def _replay_can_extend(oracle, selected, discarded,
     return True
 
 
-class _MaskState:
-    """State ``(sel_mask, dis_mask)``, for kinds whose extension test
-    ``_extends(sel_mask, dis_mask)`` needs the decided sets themselves."""
+class _FamilyState:
+    """State: the bitmask of family members still consistent with the
+    decisions. Each class builds ``_all``, every member's bit, and ``_inc``,
+    per element the bits of the members that contain it."""
 
-    def start(self) -> tuple[int, int]:
-        return 0, 0
+    def start(self) -> int:
+        return self._all
 
-    def allowed(self, state: tuple[int, int], e: int) -> tuple[bool, bool]:
-        sm, dm = state
-        bit = 1 << e
-        return self._extends(sm | bit, dm), self._extends(sm, dm | bit)
+    def allowed(self, alive: int, e: int) -> tuple[bool, bool]:
+        inc = self._inc[e]
+        return alive & inc != 0, alive & ~inc != 0
 
-    def commit(self, state: tuple[int, int], e: int, select: bool) -> tuple[int, int]:
-        sm, dm = state
-        return (sm | 1 << e, dm) if select else (sm, dm | 1 << e)
+    def commit(self, alive: int, e: int, select: bool) -> int:
+        return alive & self._inc[e] if select else alive & ~self._inc[e]
 
 
 @dataclass(frozen=True)
-class ExplicitFamilyOracle(_MaskState):
+class ExplicitFamilyOracle(_FamilyState):
     kind = "explicit_family"
     n: int
     sets: tuple[frozenset[int], ...]
@@ -85,16 +87,15 @@ class ExplicitFamilyOracle(_MaskState):
         for s in self.sets:
             for e in s:
                 _check(e, self.n)
-        object.__setattr__(self, "_masks",
-                           tuple(sum(1 << e for e in s) for s in self.sets))
+        # member m is sets[m]
+        object.__setattr__(self, "_all", (1 << len(self.sets)) - 1)
+        object.__setattr__(self, "_inc", tuple(
+            sum(1 << m for m, s in enumerate(self.sets) if e in s) for e in range(self.n)))
 
     @property
     def downward_closed(self) -> bool:
         family = set(self.sets)
         return all(s - {e} in family for s in self.sets for e in s)
-
-    def _extends(self, sm: int, dm: int) -> bool:
-        return any(sm & m == sm and dm & m == 0 for m in self._masks)
 
     can_extend = _replay_can_extend
 
@@ -253,7 +254,7 @@ class PartitionOneBlockOracle:
 
 
 @dataclass(frozen=True)
-class PairMatchOracle(_MaskState):
+class PairMatchOracle(_FamilyState):
     """Feasible sets are exactly the pairs {i, i+k}; not downward-closed."""
 
     kind = "pair_match"
@@ -262,10 +263,9 @@ class PairMatchOracle(_MaskState):
 
     def __post_init__(self):
         object.__setattr__(self, "n", 2 * self.k)
-
-    def _extends(self, sm: int, dm: int) -> bool:
-        pairs = ((1 << i) | (1 << (i + self.k)) for i in range(self.k))
-        return any(sm & ~pair == 0 and dm & pair == 0 for pair in pairs)
+        # member i is {i, i+k}
+        object.__setattr__(self, "_all", (1 << self.k) - 1)
+        object.__setattr__(self, "_inc", tuple(1 << (e % self.k) for e in range(self.n)))
 
     can_extend = _replay_can_extend
 
@@ -275,7 +275,7 @@ class PairMatchOracle(_MaskState):
 
 
 @dataclass(frozen=True)
-class NestedPhaseOracle(_MaskState):
+class NestedPhaseOracle(_FamilyState):
     """Feasible sets are exactly V_i | {b_j} | f_i(j): a subset of A encoding
     the index i, exactly one B element, and the completion f_i(j) inside U_i.
 
@@ -296,9 +296,9 @@ class NestedPhaseOracle(_MaskState):
             raise TooLarge(f"A-part capped at {NESTED_MAX_K1} elements")
         if len(self.u_sets) != 2 ** k1:
             raise ValueError("need one U set per subset of A")
-        ids = set(self.a_ids) | set(self.b_ids) | set(self.c_ids)
-        if len(ids) != len(self.a_ids) + len(self.b_ids) + len(self.c_ids):
-            raise ValueError("A, B, C must be disjoint")
+        n = len(self.a_ids) + len(self.b_ids) + len(self.c_ids)
+        if sorted([*self.a_ids, *self.b_ids, *self.c_ids]) != list(range(n)):
+            raise ValueError("A, B, C must partition a dense id range")
         cset = set(self.c_ids)
         k2 = len(self.b_ids)
         for u in self.u_sets:
@@ -307,10 +307,27 @@ class NestedPhaseOracle(_MaskState):
             if 2 ** len(u) < k2:
                 raise EncodingOverflow(
                     f"|U|={len(u)} cannot injectively encode {k2} completions")
-        object.__setattr__(self, "n", len(self.a_ids) + len(self.b_ids) + len(self.c_ids))
-        object.__setattr__(self, "_a_pos", {e: t for t, e in enumerate(self.a_ids)})
-        object.__setattr__(self, "_u_sorted", tuple(tuple(sorted(u)) for u in self.u_sets))
-        object.__setattr__(self, "_c_mask", sum(1 << e for e in self.c_ids))
+        u_sorted = tuple(tuple(sorted(u)) for u in self.u_sets)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_u_sorted", u_sorted)
+        # member (i, j) = V_i | {b_j} | f_i(j) is bit i*k2 + j, so row i of
+        # the members is the k2-bit block at i*k2
+        row = (1 << k2) - 1
+        first_of_rows = sum(1 << (i * k2) for i in range(len(u_sorted)))
+        # f_i(j) holds the t-th element of U_i exactly for the j with bit t set
+        pattern = [sum(1 << j for j in range(k2) if j >> t & 1)
+                   for t in range(max(map(len, u_sorted)))]
+        inc = [0] * n
+        for j, b in enumerate(self.b_ids):
+            inc[b] = first_of_rows << j
+        for i, u in enumerate(u_sorted):
+            for t, a in enumerate(self.a_ids):
+                if i >> t & 1:
+                    inc[a] |= row << (i * k2)
+            for t, c in enumerate(u):
+                inc[c] |= pattern[t] << (i * k2)
+        object.__setattr__(self, "_all", (1 << (len(u_sorted) * k2)) - 1)
+        object.__setattr__(self, "_inc", tuple(inc))
 
     def v_set(self, i: int) -> frozenset[int]:
         return frozenset(self.a_ids[t] for t in range(len(self.a_ids)) if (i >> t) & 1)
@@ -319,32 +336,6 @@ class NestedPhaseOracle(_MaskState):
         """f_i(j): binary encoding of j over U_i in ascending id order."""
         u = self._u_sorted[i]
         return frozenset(u[t] for t in range(len(u)) if (j >> t) & 1)
-
-    def _extends(self, sm: int, dm: int) -> bool:
-        if sm & dm:
-            return False
-        sel_a = sum(1 << t for t, a in enumerate(self.a_ids) if sm >> a & 1)
-        dis_a = sum(1 << t for t, a in enumerate(self.a_ids) if dm >> a & 1)
-        sel_b = [j for j, b in enumerate(self.b_ids) if sm >> b & 1]
-        if len(sel_b) > 1:
-            return False
-        js = sel_b or [j for j, b in enumerate(self.b_ids) if not dm >> b & 1]
-        sel_c, dis_c = sm & self._c_mask, dm & self._c_mask
-        free = ((1 << len(self.a_ids)) - 1) & ~sel_a & ~dis_a
-        # candidate i ranges over sel_a plus any subset of the undecided A bits
-        sub = free
-        while True:
-            u = self._u_sorted[sel_a | sub]
-            # f_i(j) holds u[t] exactly when bit t of j is set
-            need = sum(1 << t for t, c in enumerate(u) if sel_c >> c & 1)
-            avoid = sum(1 << t for t, c in enumerate(u) if dis_c >> c & 1)
-            if (sel_c & ~sum(1 << c for c in u) == 0
-                    and any(j & need == need and not j & avoid for j in js)):
-                return True
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        return False
 
     can_extend = _replay_can_extend
 

@@ -56,16 +56,15 @@ def _report(total: float, total_sq: float, trials: int, seed: int) -> EvalReport
 
 @dataclass(frozen=True)
 class FixedOrder:
-    """Every trial uses the same order (and optional aware side info)."""
+    """Every trial uses the same order."""
 
     order: ArrivalOrder
-    side_info: dict = field(default_factory=dict)
 
     def distribution(self, n: int) -> FiniteOrderDistribution:
         return FiniteOrderDistribution.uniform([check_order(self.order, n)])
 
     def realize(self, instance, seed, trial):
-        return self.order, self.side_info
+        return self.order, {}
 
 
 @dataclass(frozen=True)
@@ -239,16 +238,17 @@ def _tree_gamble_total(k: int, l: int, arrivals: list[tuple[int, int]]) -> float
 
 
 def _tree_greedy_total(k: int, arrivals: list[tuple[int, int]]) -> float:
-    sel: dict[int, int] = {}
+    # the selected nodes form a chain, and a node extends it exactly when it
+    # is comparable with the deepest one; a node in an already selected layer
+    # never is, because that layer's one ancestor of the deepest is selected
     deep_layer, deep_m = 0, 0
     total = 0.0
     for layer, m in arrivals:
         if layer <= deep_layer:
-            ok = layer not in sel and _is_ancestor(k, layer, m, deep_layer, deep_m)
+            ok = _is_ancestor(k, layer, m, deep_layer, deep_m)
         else:
             ok = _is_ancestor(k, deep_layer, deep_m, layer, m)
         if ok:
-            sel[layer] = m
             total += 1.0
             if layer > deep_layer:
                 deep_layer, deep_m = layer, m
@@ -414,7 +414,6 @@ class RatioEstimate:
 
 def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistribution,
                    trials: int, seed: int, references, workers: int = 1,
-                   order_side_infos: list[dict] | None = None,
                    fast: bool = True) -> RatioEstimate:
     """Per-order ALG/OPT ratio estimates against an aware reference.
 
@@ -427,8 +426,7 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
     individual means.
     """
     if isinstance(orders, FiniteOrderDistribution):
-        sources = [FixedOrder(o, order_side_infos[i] if order_side_infos else {})
-                   for i, o in enumerate(orders.orders)]
+        sources = [FixedOrder(o) for o in orders.orders]
     else:
         sources = list(orders)
     n_orders = len(sources)

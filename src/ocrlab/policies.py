@@ -205,6 +205,7 @@ class NestedAwarePolicy(Policy):
             i = decode_nested_index(oracle, knowledge.order)
         self._i = int(i)
         self._v_set = oracle.v_set(self._i)
+        self._a_set = set(oracle.a_ids)
         self._b_set = set(oracle.b_ids)
         self._b_pos = {e: j for j, e in enumerate(oracle.b_ids)}
 
@@ -213,7 +214,7 @@ class NestedAwarePolicy(Policy):
             return SELECT
         if e in self._b_set:
             return SELECT if v > 0 else DISCARD
-        if e in self._oracle._a_pos:
+        if e in self._a_set:
             return DISCARD
         # C element with a live choice: keep it iff it completes the chosen b
         sel_b = [self._b_pos[x] for x in state.selected if x in self._b_pos]

@@ -78,7 +78,7 @@ def _stage(instance: Instance, state, e: int, rest) -> float:
 
 
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
-                    limits: SolverLimits | None = None, memo: bool = True) -> SolveResult:
+                    limits: SolverLimits | None = None) -> SolveResult:
     """Optimal online value for a known order, by backward induction.
 
     On a ``TreePathOracle`` the state is (position, deepest selected node or
@@ -88,12 +88,12 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     ``pos + 1`` reachable states, n(n+1)/2 in all; ``max_states`` bounds
     that count and ``max_elements`` does not apply.
 
-    Every other oracle kind uses (position, feasibility state): the
-    oracle's state summarizes everything the future depends on, so states
-    reached by different histories share one sub-problem. For k-uniform
-    constraints that is the selected count, at most n(k+1) states; the
-    mask-state kinds stay exponential in n. ``max_elements`` caps this
-    recursion, and ``memo`` switches its cache off.
+    Every other oracle kind runs the order-unaware expectimax on the
+    one-order belief, whose nodes are then (position, feasibility state):
+    the oracle's state summarizes everything the future depends on, so
+    states reached by different histories share one sub-problem. For
+    k-uniform constraints that is the selected count, at most n(k+1)
+    states. ``max_elements`` caps this recursion.
     """
     limits = limits or AWARE_LIMITS
     n = instance.n
@@ -101,29 +101,8 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
         return _opt_aware_tree_path(instance, check_order(order, n), limits)
     if n > limits.max_elements:
         raise TooLarge(f"{n} elements over the limit {limits.max_elements}")
-    return _opt_aware_mask(instance, check_order(order, n), limits, memo)
-
-
-def _opt_aware_mask(instance: Instance, order: ArrivalOrder, limits: SolverLimits,
-                    memo: bool = True) -> SolveResult:
-    n = instance.n
-    budget = _StateBudget(limits.max_states)
-    cache: dict[tuple, float] = {}
-
-    def rec(pos: int, state) -> float:
-        if pos == n:
-            return 0.0
-        key = (pos, state)
-        if memo and key in cache:
-            return cache[key]
-        budget.tick()
-        total = _stage(instance, state, order[pos], lambda nxt: rec(pos + 1, nxt))
-        if memo:
-            cache[key] = total
-        return total
-
-    value = rec(0, instance.feasibility.start())
-    return SolveResult(value=value, states_expanded=budget.count)
+    one_order = FiniteOrderDistribution((check_order(order, n),), (1.0,))
+    return _expectimax(instance, one_order, limits)
 
 
 def _opt_aware_tree_path(instance: Instance, order: ArrivalOrder,
@@ -178,6 +157,12 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
         raise TooLarge(f"{n} elements over the limit {limits.max_elements}")
     if len(orders.orders) > limits.max_orders:
         raise TooLarge(f"{len(orders.orders)} orders over the limit {limits.max_orders}")
+    return _expectimax(instance, orders, limits)
+
+
+def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
+                limits: SolverLimits) -> SolveResult:
+    n = instance.n
     budget = _StateBudget(limits.max_states)
     cache: dict[tuple, float] = {}
 

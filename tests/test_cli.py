@@ -126,12 +126,15 @@ class TestSimulateAndRatio:
 
 class TestExact:
     def test_pairs_aware_value(self, pairs_file, capsys):
-        code, out, _ = run(capsys, "exact", "--instance", pairs_file,
-                           "--mode", "aware", "--order", "0")
+        argv = ("exact", "--instance", pairs_file, "--mode", "aware", "--order", "0")
+        code, out, err = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(1.0 / 6.0)
-        assert doc["states_expanded"] > 0 and "wall_time_ms" in doc
+        assert doc["states_expanded"] > 0
+        # wall time goes to stderr, so the report is byte-identical on rerun
+        assert "wall_time_ms" not in doc and "wall_time_ms" in err
+        assert run(capsys, *argv)[1] == out
 
     def test_pairs_prophet(self, pairs_file, capsys):
         code, out, _ = run(capsys, "exact", "--instance", pairs_file,

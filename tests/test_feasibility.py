@@ -48,12 +48,21 @@ def nested_demo():
                              u_sets=(frozenset({3}), frozenset({4})))
 
 
+def nested_overlapping():
+    # k2 = 3 is no power of two, so the third element of a size-3 U set is
+    # in no completion; U sets share C elements, and the parts interleave
+    return NestedPhaseOracle(a_ids=(4, 0), b_ids=(1, 7, 3), c_ids=(2, 5, 6, 8),
+                             u_sets=(frozenset({2, 5}), frozenset({5, 6, 8}),
+                                     frozenset({2, 6}), frozenset({2, 5, 8})))
+
+
 ORACLES = [
     KUniformOracle(n=5, k=2),
     TreePathOracle(k=2),
     PartitionOneBlockOracle(blocks=((0, 1, 2), (3, 4, 5))),
     PairMatchOracle(k=2),
     nested_demo(),
+    pytest.param(nested_overlapping(), id="nested_phase_overlapping"),
     ExplicitFamilyOracle(n=4, sets=(frozenset(), frozenset({0}),
                                     frozenset({0, 2}), frozenset({1, 3}))),
 ]

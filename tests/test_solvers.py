@@ -15,7 +15,7 @@ from ocrlab.errors import TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
 from ocrlab.policies import Knowledge, greedy_policy
-from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, _opt_aware_mask, eval_policy_exact,
+from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
@@ -37,15 +37,6 @@ class TestAgainstBruteForce:
             assert opt_unaware_exact(instance, orders).value == pytest.approx(
                 exhaustive_policy_search(instance, orders), abs=1e-9)
 
-    def test_memoization_is_value_neutral(self):
-        rng = np.random.default_rng(19)
-        instance, orders = random_micro_instance(rng, max_orders=1)
-        order = orders.orders[0]
-        with_memo = opt_aware_exact(instance, order, memo=True)
-        without = opt_aware_exact(instance, order, memo=False)
-        assert with_memo.value == pytest.approx(without.value, abs=1e-12)
-        assert with_memo.states_expanded <= without.states_expanded
-
     def test_single_order_unaware_equals_aware(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -57,13 +48,15 @@ class TestAgainstBruteForce:
 
 class TestTreePathInduction:
     """The (position, deepest selected node) induction on tree instances
-    against the mask recursion and the brute-force search."""
+    against the state expectimax on the one-order belief and the
+    brute-force search."""
 
     @staticmethod
     def _check(instance, order):
         tree = opt_aware_exact(instance, order).value
+        one_order = FiniteOrderDistribution((order,), (1.0,))
         assert tree == pytest.approx(
-            _opt_aware_mask(instance, order, AWARE_LIMITS).value, abs=1e-12)
+            opt_unaware_exact(instance, one_order, limits=AWARE_LIMITS).value, abs=1e-12)
         assert tree == pytest.approx(exhaustive_policy_search(instance, order), abs=1e-12)
 
     def test_random_orders(self):
