@@ -113,6 +113,11 @@ class Instance:
         if not (0 <= e < self.n):
             raise UnknownElement(f"element {e} outside [0, {self.n})")
 
+    def __getstate__(self):
+        # the value groups are a cache of O(n) arrays; a pool worker that
+        # needs them rebuilds them rather than receiving them with every job
+        return {**self.__dict__, "_groups": None}
+
     def _value_groups(self):
         """Group elements by identical distribution for vectorized sampling."""
         if self._groups is None:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
-                   FiniteOrderDistribution, Instance, Trace, check_order, run_policy,
-                   sample_values, trial_rng)
+                   FiniteOrderDistribution, Instance, Trace, ValueDistribution,
+                   check_order, run_policy, sample_values, trial_rng)
 from .constructions import _sample_tree_raw, sample_tree_order
-from .feasibility import tree_offsets
+from .feasibility import KUniformOracle, TreePathOracle, tree_n, tree_offsets
 from .policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                        MultiunitThresholdPolicy, Policy, TreeAwarePolicy,
                        TreeGamblePolicy)
@@ -161,27 +161,56 @@ def _multiunit_totals_from_x(policy: MultiunitThresholdPolicy, k: int,
     return base + s + (k - m)
 
 
+def _random_block_twos(k: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Per trial, how many of the 2k random-block elements draw value 2: of
+    the value stream's words 2k..4k-1, those with the top bit set, as
+    ``random`` maps word w to (w >> 11) * 2**-53 and value 2 is u >= 0.5.
+    ``advance`` skips 4 words per Philox step; ``lead`` more are dropped."""
+    skip, lead = divmod(2 * k, 4)
+    x = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        bits = trial_rng(seed, start + i, STREAM_VALUES).bit_generator
+        bits.advance(skip)
+        w = bits.random_raw(2 * k + lead)[lead:]
+        x[i] = np.count_nonzero(w.view(np.int64) < 0)
+    return x
+
+
 def _multiunit_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
     k = int(instance.metadata["k"])
     tag = _multiunit_order_tag(instance, source.order)
-    x = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        u = trial_rng(seed, start + i, STREAM_VALUES).random(4 * k)
-        # the value-2 outcome occupies the upper half of the unit interval
-        x[i] = int(np.count_nonzero(u[2 * k:] >= 0.5))
+    x = _random_block_twos(k, seed, start, count)
     totals = np.empty((len(policies), count), dtype=np.float64)
     for p_idx, policy in enumerate(policies):
         totals[p_idx] = _multiunit_totals_from_x(policy, k, x, tag)
     return totals
 
 
+def _has_value_groups(instance: Instance, runs) -> bool:
+    """Whether ``sample_values`` draws the elements from exactly the given
+    ``(first id, stop, distribution)`` runs; reads the cached groups."""
+    groups = instance._value_groups()
+    return len(groups) == len(runs) and all(
+        len(ids) == stop - first and ids[0] == first and ids[-1] == stop - 1
+        and values.tolist() == list(dist.support())
+        and cum.tolist() == dist.cumulative().tolist()
+        for (ids, values, cum), (first, stop, dist) in zip(groups, runs))
+
+
 def _multiunit_fast_ok(instance, policies, source) -> bool:
-    return (instance.metadata.get("construction") == "multiunit"
+    if instance.metadata.get("construction") != "multiunit":
+        return False
+    k = int(instance.metadata["k"])
+    oracle = instance.feasibility
+    return (type(oracle) is KUniformOracle and (oracle.n, oracle.k) == (4 * k, k)
+            and _has_value_groups(instance, (
+                (0, k, ValueDistribution.deterministic(1.75)),
+                (k, 2 * k, ValueDistribution.deterministic(1.0)),
+                (2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (2.0, 0.5))))))
             and isinstance(source, FixedOrder)
             and _multiunit_order_tag(instance, source.order) is not None
             and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)
-            and all(math.floor(p.d * math.sqrt(int(instance.metadata["k"]) / 2))
-                    <= int(instance.metadata["k"]) for p in policies))
+            and all(math.floor(p.d * math.sqrt(k / 2)) <= k for p in policies))
 
 
 # fast path: tree policies under the recursive order distribution -------------------
@@ -298,7 +327,13 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
 
 
 def _tree_fast_ok(instance, policies, source) -> bool:
-    return (instance.metadata.get("construction") == "tree"
+    if instance.metadata.get("construction") != "tree":
+        return False
+    k = int(instance.metadata["k"])
+    oracle = instance.feasibility
+    return (type(oracle) is TreePathOracle and oracle.k == k
+            and _has_value_groups(instance,
+                                  ((0, tree_n(k), ValueDistribution.bernoulli(1.0 / k)),))
             and isinstance(source, TreeOrders)
             and all(isinstance(p, (TreeAwarePolicy, TreeGamblePolicy, GreedyPolicy,
                                    AlwaysDiscardPolicy)) for p in policies))

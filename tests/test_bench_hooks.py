@@ -7,9 +7,10 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from ocrlab.constructions import build_tree_instance
-from ocrlab.montecarlo import TreeOrders, collect_traces
-from ocrlab.policies import greedy_policy
+from ocrlab.constructions import build_multiunit_instance, build_tree_instance
+from ocrlab.montecarlo import (CHUNK_SIZE, FixedOrder, TreeOrders, collect_traces,
+                               simulate_many)
+from ocrlab.policies import greedy_policy, multiunit_threshold_policy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +40,23 @@ def test_hooks_install_run_one_generic_trial_and_uninstall():
     for span in ("core.run_policy", "core.trial_rng", "core.value_sampling",
                  "constructions.tree_order", "policies.decide"):
         assert tracer.layer_totals()[span]["calls"] > 0, span
+
+
+def test_hooks_see_the_multiunit_fast_path():
+    # the fast path reaches the bit generator through the traced Generator
+    tracing = _tracing()
+    instance, orders = build_multiunit_instance(5)
+    policies = [multiunit_threshold_policy(0.913, v) for v in ("pi1", "pi2", "unaware")]
+    source = FixedOrder(orders.orders[1])
+    trials = CHUNK_SIZE + 10
+    plain = simulate_many(policies, instance, source, trials=trials, seed=6)
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        traced = simulate_many(policies, instance, source, trials=trials, seed=6)
+    finally:
+        tracing.uninstall(saved)
+    assert [r.mean for r in traced] == [r.mean for r in plain]
+    totals = tracer.layer_totals()
+    assert totals["montecarlo.chunk.fast"]["calls"] == 2
+    assert totals["core.trial_rng"]["calls"] == trials

@@ -4,6 +4,7 @@ and the instance JSON schema."""
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ class TestSampleValues:
         inst = _pairs_instance()
         with pytest.raises(UnknownElement):
             inst.check_element(4)
+
+    def test_pickle_leaves_the_group_cache_behind(self):
+        # pool jobs pickle the instance; the O(n) group arrays stay home
+        inst = _pairs_instance()
+        inst._value_groups()
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy._groups is None and copy == inst
+        np.testing.assert_array_equal(sample_values(copy, 3, 1), sample_values(inst, 3, 1))
 
 
 class TestJsonSchema:

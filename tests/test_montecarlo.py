@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from ocrlab.constructions import (build_multiunit_instance, build_tree_instance)
-from ocrlab.core import (FiniteOrderDistribution, Instance, ValueDistribution)
+from ocrlab.core import (FiniteOrderDistribution, Instance, ValueDistribution,
+                         dump_instance, load_instance, trial_rng)
 from ocrlab.feasibility import KUniformOracle
 from ocrlab.montecarlo import (CHUNK_SIZE, TRACE_CAP, FixedOrder, SampledOrders,
-                               TreeOrders, collect_traces, estimate_ratio,
-                               simulate, simulate_many)
+                               TreeOrders, _pick_engine, _random_block_twos,
+                               collect_traces, estimate_ratio, simulate,
+                               simulate_many)
 from ocrlab.policies import (greedy_policy, multiunit_threshold_policy,
                              tree_aware_policy)
 
@@ -101,6 +103,55 @@ class TestOrderSources:
         src = FixedOrder(orders.orders[0])
         dist = src.distribution(inst.n)
         assert dist.orders == (orders.orders[0],)
+
+
+def _edited(instance, first, stop, dist):
+    """A fresh copy of ``instance`` whose elements first..stop-1 follow
+    ``dist``; metadata and oracle are unchanged."""
+    dists = list(instance.dists)
+    dists[first:stop] = [dist] * (stop - first)
+    return Instance(instance.name, tuple(dists), instance.feasibility,
+                    dict(instance.metadata))
+
+
+class TestFastPaths:
+    def test_random_block_twos_match_the_uniform_draw(self):
+        # pins NumPy's word-to-double mapping: u >= 0.5 iff the top bit is set
+        for k in (1, 2, 3, 5, 7, 10):
+            for seed, trial in ((0, 0), (1, 7), (42, 1000), (2026, 31)):
+                u = trial_rng(seed, trial).random(4 * k)
+                expected = np.count_nonzero(u[2 * k:] >= 0.5)
+                assert _random_block_twos(k, seed, trial, 1)[0] == expected, (k, seed, trial)
+
+    def test_fast_paths_survive_the_instance_file_round_trip(self, tmp_path):
+        inst, orders = build_multiunit_instance(3)
+        tree = build_tree_instance(2)
+        for built, policy, source in (
+                (inst, multiunit_threshold_policy(0.913, "pi2"), FixedOrder(orders.orders[1])),
+                (tree, greedy_policy(), TreeOrders())):
+            path = tmp_path / f"{built.name}.json"
+            dump_instance(built, path)
+            loaded, _ = load_instance(path)
+            assert _pick_engine(built, [policy], source, True) != "generic"
+            assert _pick_engine(loaded, [policy], source, True) != "generic"
+
+    def test_edited_instances_take_the_generic_engine(self):
+        # the construction tag alone must not pick a fast path whose closed
+        # form or walkers assume the construction's values
+        k = 4
+        inst, orders = build_multiunit_instance(k)
+        tree = build_tree_instance(2)
+        cases = [
+            (_edited(inst, 2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (3.0, 0.5)))),
+             multiunit_threshold_policy(0.913, "pi2"), FixedOrder(orders.orders[1])),
+            (_edited(tree, 0, 1, ValueDistribution.bernoulli(0.9)),
+             greedy_policy(), TreeOrders()),
+        ]
+        for edited, policy, source in cases:
+            assert _pick_engine(edited, [policy], source, True) == "generic"
+            fast = simulate(policy, edited, source, trials=400, seed=1)
+            slow = simulate(policy, edited, source, trials=400, seed=1, fast=False)
+            assert fast.mean == slow.mean
 
 
 class TestTraces:

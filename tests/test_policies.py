@@ -68,16 +68,18 @@ class TestMultiunitThreshold:
             big.start(inst, Knowledge.aware(orders.orders[0]))
 
     def test_fast_path_matches_generic_bit_exactly(self):
-        inst, orders = build_multiunit_instance(6)
+        # odd k leaves 2k mod 4 = 2 words of a Philox step before the random block
         policies = [multiunit_threshold_policy(d, variant)
                     for d in (0.0, 0.674, 0.913, 1.152)
                     for variant in ("pi1", "pi2", "unaware")]
-        for order in orders.orders:
-            src = FixedOrder(order)
-            fast = simulate_many(policies, inst, src, trials=500, seed=4, fast=True)
-            slow = simulate_many(policies, inst, src, trials=500, seed=4, fast=False)
-            for f, s in zip(fast, slow):
-                assert f.mean == s.mean and f.stderr == s.stderr
+        for k in (1, 3, 5, 6):
+            inst, orders = build_multiunit_instance(k)
+            for order in orders.orders:
+                src = FixedOrder(order)
+                fast = simulate_many(policies, inst, src, trials=500, seed=4, fast=True)
+                slow = simulate_many(policies, inst, src, trials=500, seed=4, fast=False)
+                for f, s in zip(fast, slow):
+                    assert f.mean == s.mean and f.stderr == s.stderr, (k, order)
 
     def test_unaware_commit_is_order_consistent(self):
         # an unaware rule must act identically on identical (element, value)

@@ -38,10 +38,12 @@ class TestAgainstBruteForce:
                 exhaustive_policy_search(instance, orders), abs=1e-9)
 
     def test_single_order_unaware_equals_aware(self):
+        # the unaware solver on a one-order belief against the brute force's
+        # aware entry (a bare order), which shares no code with the solvers
         rng = np.random.default_rng(23)
         for _ in range(10):
             instance, orders = random_micro_instance(rng, max_orders=1)
-            aware = opt_aware_exact(instance, orders.orders[0]).value
+            aware = exhaustive_policy_search(instance, orders.orders[0])
             unaware = opt_unaware_exact(instance, orders).value
             assert unaware == pytest.approx(aware, abs=1e-12)
 
