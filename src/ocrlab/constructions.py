@@ -7,6 +7,7 @@ ones draw from the counter-based stream in :mod:`ocrlab.core` so that each
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -75,26 +76,87 @@ def _tree_r_nodes(k: int) -> list[tuple[int, int]]:
     return nodes
 
 
-def _sample_tree_raw(k: int, seed: int, trial: int) -> tuple[dict, list[int]]:
-    """The cheap core of the order draw: per-node half-subsets (sorted
-    tuples) and the expanded arrival order.
+def tree_r_node_count(k: int) -> int:
+    """len(_tree_r_nodes(k)): 1 + k + ... + k**(k-3)."""
+    return (k ** (k - 2) - 1) // (k - 1)
+
+
+def _sample_tree_raw(k: int, seed: int, trial: int) -> np.ndarray:
+    """The random part of the order draw: row i marks the size-k/2 subset r
+    of node i of ``_tree_r_nodes(k)``, as a bool row over its k children."""
+    rng = trial_rng(seed, trial, STREAM_ORDER)
+    # one uniform row per node; the first k/2 of its argsort form a uniform
+    # subset, and a child's rank in that argsort tells whether it is in it
+    first = np.argsort(rng.random((tree_r_node_count(k), k)), axis=1)
+    return first.argsort(axis=1) < k // 2
+
+
+def tree_good_layers(k: int, in_r: np.ndarray) -> list[np.ndarray]:
+    """Good labels of layers 1..k-2 from r-subsets shaped (..., nodes, k), as
+    arrays shaped (..., k**layer): a node is good when its parent is good
+    (the root is) and it lies in its parent's r-subset."""
+    batch = in_r.shape[:-2]
+    good = np.ones(batch + (1,), dtype=bool)
+    layers = []
+    first = 0
+    for layer in range(1, k - 1):
+        width = k ** (layer - 1)
+        member = in_r[..., first: first + width, :].reshape(batch + (width * k,))
+        good = np.repeat(good, k, axis=-1) & member
+        layers.append(good)
+        first += width
+    return layers
+
+
+@functools.lru_cache(maxsize=None)
+def tree_arrival_positions(k: int) -> np.ndarray:
+    """Position table POS, shaped (n, k-1): element e arrives at POS[e, D],
+    where D is the layer of e's deepest good strict ancestor, capped at k-2.
+
+    A good node (the root included) emits its k children, then each child's
+    block of strict descendants, in child order. Those blocks have a size
+    fixed by the layer, so along a path of good nodes every block starts at
+    a place fixed by the path. The first bad node on the path lays its
+    block out bottom-up, deepest layer first. Below layer k-2 both layouts
+    are the same, hence the cap. Entries with D >= e's layer are -1.
+    Read-only; cached per k.
+    """
+    offs = tree_offsets(k)
+    n = offs[k]
+    pos = np.full((n, k - 1), -1, dtype=np.int16 if n < 2 ** 15 else np.int32)
+    for layer in range(1, k + 1):
+        m = np.arange(k ** layer, dtype=np.int64)
+        # child index of the layer-(i+1) ancestor under the layer-i ancestor
+        j = [(m // k ** (layer - 1 - i)) % k for i in range(layer)]
+        start = np.zeros_like(m)  # where the layer-d ancestor's block begins
+        for d in range(min(layer, k - 1)):
+            if layer == d + 1:
+                col = start + j[d]
+            else:
+                # below the bad layer-(d+1) ancestor: deepest layer first
+                col = (start + k + j[d] * offs[k - d - 1]
+                       + offs[k - d - 1] - offs[layer - d - 1]
+                       + m % k ** (layer - d - 1))
+            pos[offs[layer - 1]: offs[layer], d] = col
+            start += k + j[d] * offs[k - d - 1]
+    pos.setflags(write=False)
+    return pos
+
+
+def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrderRealization:
+    """Draw the r-subsets, expand the arrival order, and label every element
+    good or bad (good = every branching step lies in its node's r-subset).
 
     Good subtrees arrive top-down (children first, then each child's
     subtree); bad subtrees arrive bottom-up (deepest layer first). The two
     deepest layers use the terminal rule: children, then each child's
     remaining subtree bottom-up.
     """
+    k = int(instance.metadata["k"])
     offs = tree_offsets(k)
-    rng = trial_rng(seed, trial, STREAM_ORDER)
-
     nodes = _tree_r_nodes(k)
-    r_by_node: dict[tuple[int, int], tuple[int, ...]] = {}
-    if nodes:
-        # one uniform row per node; argsort picks a uniform size-k/2 subset
-        ranks = np.argsort(rng.random((len(nodes), k)), axis=1)[:, : k // 2]
-        ranks = np.sort(ranks, axis=1)
-        r_by_node = {node: tuple(int(c) for c in row)
-                     for node, row in zip(nodes, ranks)}
+    in_r = _sample_tree_raw(k, seed, trial)
+    row = {node: i for i, node in enumerate(nodes)}
 
     order: list[int] = []
 
@@ -112,42 +174,25 @@ def _sample_tree_raw(k: int, seed: int, trial: int) -> tuple[dict, list[int]]:
             for j in range(k):
                 bottom_up(layer + 1, idx * k + j)
             return
-        r = r_by_node[(layer, idx)]
+        r = in_r[row[(layer, idx)]]
         for j in range(k):
-            if j in r:
+            if r[j]:
                 top_down(layer + 1, idx * k + j)
             else:
                 bottom_up(layer + 1, idx * k + j)
 
     top_down(0, 0)
-    return r_by_node, order
 
-
-def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrderRealization:
-    """Draw the r-subsets, expand the arrival order, and label every element
-    good or bad (good = every branching step lies in its node's r-subset)."""
-    k = int(instance.metadata["k"])
-    offs = tree_offsets(k)
-    r_by_node, order = _sample_tree_raw(k, seed, trial)
-
-    good = np.zeros(instance.n, dtype=bool)
-    prev = np.array([True])  # layer-0 virtual root is good
-    for layer in range(1, k + 1):
-        width = k ** layer
-        cur = np.empty(width, dtype=bool)
-        if layer <= k - 2:
-            for m in range(width):
-                parent_good = prev[m // k]
-                cur[m] = parent_good and (m % k) in r_by_node[(layer - 1, m // k)]
-        else:
-            for m in range(width):
-                cur[m] = prev[m // k]
-        good[offs[layer - 1]: offs[layer]] = cur
-        prev = cur
-
-    r_strings = {_node_string(k, layer, idx): frozenset(subset)
-                 for (layer, idx), subset in r_by_node.items()}
-    return TreeOrderRealization(r=r_strings, order=tuple(order), good=good)
+    # the two deepest layers inherit their parent's label
+    layers = tree_good_layers(k, in_r)
+    prev = layers[-1] if layers else np.ones(1, dtype=bool)
+    for _ in range(2):
+        prev = np.repeat(prev, k)
+        layers.append(prev)
+    r_strings = {_node_string(k, layer, idx): frozenset(np.flatnonzero(in_r[i]).tolist())
+                 for i, (layer, idx) in enumerate(nodes)}
+    return TreeOrderRealization(r=r_strings, order=tuple(order),
+                                good=np.concatenate(layers))
 
 
 def _node_string(k: int, layer: int, idx: int) -> tuple[int, ...]:

@@ -31,6 +31,10 @@ def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.G
     """Counter-based generator for one (seed, trial, stream) cell."""
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial index must be nonnegative")
+    # the key is (seed, trial << 2 | stream) in two 64-bit words; larger
+    # values would wrap onto another cell's key
+    if seed >= 2 ** 64 or trial >= 2 ** 62:
+        raise ValueError("seed must be below 2**64 and trial index below 2**62")
     key = np.array([np.uint64(seed), (np.uint64(trial) << np.uint64(2)) | np.uint64(stream)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -9,6 +9,7 @@ replicate the generic semantics exactly (cross-validated in tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,8 @@ import numpy as np
 from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
                    FiniteOrderDistribution, Instance, Trace, ValueDistribution,
                    check_order, run_policy, sample_values, trial_rng)
-from .constructions import _sample_tree_raw, sample_tree_order
+from .constructions import (_sample_tree_raw, sample_tree_order, tree_arrival_positions,
+                            tree_good_layers, tree_r_node_count)
 from .feasibility import KUniformOracle, TreePathOracle, tree_n, tree_offsets
 from .policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                        MultiunitThresholdPolicy, Policy, TreeAwarePolicy,
@@ -176,9 +178,8 @@ def _random_block_twos(k: int, seed: int, start: int, count: int) -> np.ndarray:
     return x
 
 
-def _multiunit_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
+def _multiunit_chunk(instance, policies, tag, seed, start, count) -> np.ndarray:
     k = int(instance.metadata["k"])
-    tag = _multiunit_order_tag(instance, source.order)
     x = _random_block_twos(k, seed, start, count)
     totals = np.empty((len(policies), count), dtype=np.float64)
     for p_idx, policy in enumerate(policies):
@@ -197,132 +198,215 @@ def _has_value_groups(instance: Instance, runs) -> bool:
         for (ids, values, cum), (first, stop, dist) in zip(groups, runs))
 
 
-def _multiunit_fast_ok(instance, policies, source) -> bool:
+def _multiunit_fast_tag(instance, policies, source) -> str | None:
+    """The canonical order's tag when the closed form applies, else None."""
     if instance.metadata.get("construction") != "multiunit":
-        return False
+        return None
     k = int(instance.metadata["k"])
     oracle = instance.feasibility
-    return (type(oracle) is KUniformOracle and (oracle.n, oracle.k) == (4 * k, k)
+    if not (type(oracle) is KUniformOracle and (oracle.n, oracle.k) == (4 * k, k)
             and _has_value_groups(instance, (
                 (0, k, ValueDistribution.deterministic(1.75)),
                 (k, 2 * k, ValueDistribution.deterministic(1.0)),
                 (2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (2.0, 0.5))))))
             and isinstance(source, FixedOrder)
-            and _multiunit_order_tag(instance, source.order) is not None
             and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)
-            and all(math.floor(p.d * math.sqrt(k / 2)) <= k for p in policies))
+            and all(math.floor(p.d * math.sqrt(k / 2)) <= k for p in policies)):
+        return None
+    return _multiunit_order_tag(instance, source.order)
 
 
 # fast path: tree policies under the recursive order distribution -------------------
 
+# trials x elements per block: a block's (trials, n) arrays take about 8 bytes
+# a cell, so they stay near 256 KB
+TREE_BLOCK_CELLS = 1 << 15
 
-def _tree_aware_total(k: int, offs, r_by_node, v1: np.ndarray) -> float:
-    total = 0.0
-    tip = 0
+
+@dataclass(frozen=True)
+class _TreeTables:
+    """Per-element lookups of the tree fast path for one k. Index n is the
+    pad that fills a trial's ranks after its last value-1 element."""
+
+    poskey: np.ndarray  # (k-1, n): POS[e, D] << shift | e
+    pad: int  # key of a value-0 element: sorts after every other, decodes to n
+    id_mask: int
+    lo: np.ndarray  # (n+1,): the leaves below the element are [lo, hi)
+    hi: np.ndarray
+    layer: np.ndarray  # (n+1,): 0 for the pad
+    bit: np.ndarray  # (n+1,): 1 << layer, 0 for the pad
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_tables(k: int) -> _TreeTables:
+    offs = tree_offsets(k)
+    n = offs[k]
+    pos = tree_arrival_positions(k).T
+    shift, key_dtype = (16, np.uint32) if n < 2 ** 16 else (32, np.uint64)
+    pad = n << shift | n
+    poskey = np.where(pos >= 0, pos.astype(key_dtype) << shift
+                      | np.arange(n, dtype=key_dtype), key_dtype(pad))
+    leaf_dtype = np.int16 if k ** k < 2 ** 15 else np.int32
+    lo = np.zeros(n + 1, dtype=leaf_dtype)
+    hi = np.zeros(n + 1, dtype=leaf_dtype)
+    layer = np.zeros(n + 1, dtype=np.int8)
+    for depth in range(1, k + 1):
+        ids = slice(offs[depth - 1], offs[depth])
+        width = k ** (k - depth)
+        lo[ids] = np.arange(k ** depth) * width
+        hi[ids] = lo[ids] + width
+        layer[ids] = depth
+    # k + 1 bits: a tree with k >= 15 would have more than 10**17 elements
+    bit = np.where(layer > 0, np.left_shift(1, layer, dtype=np.int16), 0).astype(np.int16)
+    for a in (poskey, lo, hi, layer, bit):
+        a.setflags(write=False)
+    return _TreeTables(poskey, pad, (1 << shift) - 1, lo, hi, layer, bit)
+
+
+def _tree_aware_total(k: int, in_r: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Per trial of a block: at each layer, the first candidate child of the
+    tip worth 1, else the last candidate; candidates are the tip's r-subset
+    down to layer k-2 and all its children below."""
+    offs = tree_offsets(k)
+    rows = np.arange(len(v1))
+    kids = np.arange(k)
+    tip = np.zeros(len(v1), dtype=np.intp)
+    total = np.zeros(len(v1), dtype=np.int64)
+    node = 0  # r-row of the first node in the tip's layer
     for layer in range(1, k + 1):
-        cand = r_by_node[(layer - 1, tip)] if layer <= k - 2 else range(k)
-        chosen = None
-        for j in cand:
-            m = tip * k + j
-            if v1[offs[layer - 1] + m]:
-                chosen = m
-                total += 1.0
-                break
-        if chosen is None:
-            chosen = tip * k + (cand[-1] if layer <= k - 2 else k - 1)
-        tip = chosen
-    return total
-
-
-def _is_ancestor(k: int, lo_layer: int, lo_m: int, hi_layer: int, hi_m: int) -> bool:
-    return hi_m // k ** (hi_layer - lo_layer) == lo_m
-
-
-def _tree_gamble_total(k: int, l: int, arrivals: list[tuple[int, int]]) -> float:
-    """Replays the gamble rule over the value-1 elements in arrival order;
-    value-0 elements never change its state."""
-    tip_layer, tip_m = 0, 0
-    count = 0
-    d1 = d2 = None  # selections in the two deepest layers
-    total = 0.0
-    for layer, m in arrivals:
+        hit = v1[rows[:, None], offs[layer - 1] + tip[:, None] * k + kids]
         if layer <= k - 2:
-            if (count < l and layer == tip_layer + 1 and m // k == tip_m
-                    and (d1 is None or _is_ancestor(k, layer, m, k - 1, d1))
-                    and (d2 is None or _is_ancestor(k, layer, m, k, d2))):
-                tip_layer, tip_m = layer, m
-                count += 1
-                total += 1.0
-        elif layer == k - 1:
-            if (d1 is None and _is_ancestor(k, tip_layer, tip_m, k - 1, m)
-                    and (d2 is None or d2 // k == m)):
-                d1 = m
-                total += 1.0
+            cand = in_r[rows, node + tip]
+            hit &= cand
+            fallback = k - 1 - np.argmax(cand[:, ::-1], axis=1)
+            node += k ** (layer - 1)
         else:
-            if (d2 is None and _is_ancestor(k, tip_layer, tip_m, k, m)
-                    and (d1 is None or m // k == d1)):
-                d2 = m
-                total += 1.0
+            fallback = k - 1
+        found = hit.any(axis=1)
+        total += found
+        tip = tip * k + np.where(found, np.argmax(hit, axis=1), fallback)
     return total
 
 
-def _tree_greedy_total(k: int, arrivals: list[tuple[int, int]]) -> float:
-    # the selected nodes form a chain, and a node extends it exactly when it
-    # is comparable with the deepest one; a node in an already selected layer
-    # never is, because that layer's one ancestor of the deepest is selected
-    deep_layer, deep_m = 0, 0
-    total = 0.0
-    for layer, m in arrivals:
-        if layer <= deep_layer:
-            ok = _is_ancestor(k, layer, m, deep_layer, deep_m)
-        else:
-            ok = _is_ancestor(k, deep_layer, deep_m, layer, m)
-        if ok:
-            total += 1.0
-            if layer > deep_layer:
-                deep_layer, deep_m = layer, m
-    return total
+def _tree_gamble_rule(k: int, l: int) -> tuple[int, tuple[int, ...]]:
+    """The gamble rule as (open layers, per-layer flip) bitmasks. Layer 1
+    (if l >= 1) and the two deepest layers start open. A selection in layer
+    i <= k-2 closes i and opens i+1 while i+1 <= min(l, k-2); one in layer
+    k-1 or k closes it."""
+    top = min(l, k - 2)
+    opened = (2 if top >= 1 else 0) | 1 << (k - 1) | 1 << k
+    flip = (0,) + tuple(1 << i | (1 << (i + 1) if i < top else 0) for i in range(1, k + 1))
+    return opened, flip
+
+
+def _tree_greedy_rule(k: int) -> tuple[int, tuple[int, ...]]:
+    """Greedy keeps every layer open: a node in an already selected layer is
+    never comparable with the deepest selection."""
+    return (1 << (k + 1)) - 2, (0,) * (k + 1)
+
+
+def _tree_walk_totals(k: int, rules, arrivals) -> np.ndarray:
+    """Replays chain-building rules over a block's value-1 elements in
+    arrival order; value-0 elements never change a rule's state.
+    ``arrivals`` is (lo, hi, layer, bit), each shaped (rank, trial), with
+    the pad after a trial's last value-1 element. Returns the selection
+    counts shaped (rule, trial).
+
+    The selections form a chain, so a node can join exactly when it is
+    comparable with the deepest selection: when their leaf intervals meet.
+    The deepest selection then becomes the intersection. A rule also needs
+    the node's layer to be open. Each selection is in a new layer, so a
+    rule selects at most k times: each round finds every trial's next
+    selection at once, by searching the ranks after its previous one.
+    """
+    lo, hi, layer, bit = arrivals
+    cols = np.arange(lo.shape[1])
+    rank = np.arange(len(lo))[:, None]
+    totals = np.zeros((len(rules), len(cols)), dtype=np.int64)
+    for row, (opened, flip) in enumerate(rules):
+        flip = np.array(flip, dtype=np.int16)
+        opened = np.full(len(cols), opened, dtype=np.int16)
+        deep_lo = np.zeros(len(cols), dtype=lo.dtype)
+        deep_hi = np.full(len(cols), k ** k, dtype=lo.dtype)
+        after = np.zeros(len(cols), dtype=np.intp)  # first rank not yet replayed
+        while True:
+            ok = np.maximum(lo, deep_lo) < np.minimum(hi, deep_hi)
+            ok &= (bit & opened).astype(bool)
+            ok &= rank >= after
+            first = ok.argmax(axis=0)
+            found = ok[first, cols]
+            if not found.any():
+                break
+            totals[row] += found
+            at = first[found], cols[found]
+            deep_lo[found] = np.maximum(deep_lo[found], lo[at])
+            deep_hi[found] = np.minimum(deep_hi[found], hi[at])
+            opened[found] ^= flip[layer[at]]
+            after[found] = first[found] + 1
+    return totals
+
+
+def _tree_arrivals(k: int, in_r: np.ndarray, v1: np.ndarray):
+    """The block's value-1 elements ranked by arrival, as the walker's
+    per-element rows shaped (rank, trial). Element e of a trial arrives at
+    POS[e, D], D being the layer of its deepest good strict ancestor (capped
+    at k-2), which follows layer by layer from the good labels."""
+    tables = _tree_tables(k)
+    offs = tree_offsets(k)
+    good = tree_good_layers(k, in_r)
+    key = np.empty(v1.shape, dtype=tables.poskey.dtype)
+    depth = np.zeros((len(v1), 1), dtype=np.int8)
+    for layer in range(1, k + 1):
+        depth = np.repeat(depth, k, axis=1)
+        cols = slice(offs[layer - 1], offs[layer])
+        part = key[:, cols]
+        part[:] = tables.poskey[0, cols]
+        for d in range(1, min(layer, k - 1)):
+            np.copyto(part, tables.poskey[d, cols], where=depth == d)
+        if layer <= k - 2:
+            depth = np.where(good[layer - 1], np.int8(layer), depth)
+    np.copyto(key, key.dtype.type(tables.pad), where=~v1)
+    key.sort(axis=1)
+    ranks = int(np.count_nonzero(v1, axis=1).max(initial=0))
+    ids = (key[:, :ranks].T & tables.id_mask).astype(np.intp)
+    return tables.lo[ids], tables.hi[ids], tables.layer[ids], tables.bit[ids]
 
 
 def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
     k = int(instance.metadata["k"])
     n = instance.n
-    offs = tree_offsets(k)
     p_one = instance.dists[0].cumulative()[0]
-    layer_of = np.empty(n, dtype=np.int64)
-    m_of = np.empty(n, dtype=np.int64)
-    for layer in range(1, k + 1):
-        layer_of[offs[layer - 1]: offs[layer]] = layer
-        m_of[offs[layer - 1]: offs[layer]] = np.arange(k ** layer)
-    order_cache: dict[int, tuple] = {}
-    totals = np.empty((len(policies), count), dtype=np.float64)
-    ids = np.arange(n)
-    for i in range(count):
-        trial = start + i
-        order_trial = source.order_trial(trial)
-        cached = order_cache.get(order_trial)
-        if cached is None:
-            r_by_node, order = _sample_tree_raw(k, seed, order_trial)
-            inv = np.empty(n, dtype=np.int64)
-            inv[np.asarray(order)] = ids
-            cached = (r_by_node, inv)
-            if source.pool or source.fixed is not None:
-                order_cache[order_trial] = cached
-        r_by_node, inv = cached
-        u = trial_rng(seed, trial, STREAM_VALUES).random(n)
-        v1 = u < p_one
-        v1_ids = np.flatnonzero(v1)
-        v1_ids = v1_ids[np.argsort(inv[v1_ids], kind="stable")]
-        arrivals = list(zip(layer_of[v1_ids].tolist(), m_of[v1_ids].tolist()))
-        for p_idx, policy in enumerate(policies):
-            if isinstance(policy, TreeAwarePolicy):
-                totals[p_idx, i] = _tree_aware_total(k, offs, r_by_node, v1)
-            elif isinstance(policy, TreeGamblePolicy):
-                totals[p_idx, i] = _tree_gamble_total(k, policy.l, arrivals)
-            elif isinstance(policy, GreedyPolicy):
-                totals[p_idx, i] = _tree_greedy_total(k, arrivals)
-            else:
-                totals[p_idx, i] = 0.0
+    aware = [i for i, p in enumerate(policies) if isinstance(p, TreeAwarePolicy)]
+    walked = [i for i, p in enumerate(policies)
+              if isinstance(p, (TreeGamblePolicy, GreedyPolicy))]
+    rules = [_tree_gamble_rule(k, policies[i].l) if isinstance(policies[i], TreeGamblePolicy)
+             else _tree_greedy_rule(k) for i in walked]
+    distinct = list(dict.fromkeys(rules))  # gambles with l >= k-2 coincide
+    rule_row = [distinct.index(r) for r in rules]
+    reuse = bool(source.pool) or source.fixed is not None
+    drawn: dict[int, np.ndarray] = {}
+    totals = np.zeros((len(policies), count), dtype=np.float64)
+    block = max(1, TREE_BLOCK_CELLS // n)
+    for first in range(0, count, block):
+        size = min(block, count - first)
+        in_r = np.empty((size, tree_r_node_count(k), k), dtype=bool)
+        v1 = np.empty((size, n), dtype=bool)
+        for i in range(size):
+            trial = start + first + i
+            order_trial = source.order_trial(trial)
+            r = drawn.get(order_trial)
+            if r is None:
+                r = _sample_tree_raw(k, seed, order_trial)
+                if reuse:
+                    drawn[order_trial] = r
+            in_r[i] = r
+            np.less(trial_rng(seed, trial, STREAM_VALUES).random(n), p_one, out=v1[i])
+        cols = slice(first, first + size)
+        if aware:
+            totals[aware, cols] = _tree_aware_total(k, in_r, v1)
+        if walked:
+            walk = _tree_walk_totals(k, distinct, _tree_arrivals(k, in_r, v1))
+            totals[walked, cols] = walk[rule_row]
     return totals
 
 
@@ -343,9 +427,9 @@ def _tree_fast_ok(instance, policies, source) -> bool:
 
 
 def _chunk_worker(args):
-    instance, policies, source, seed, start, count, engine = args
+    instance, policies, source, seed, start, count, tag, engine = args
     if engine == "multiunit":
-        totals = _multiunit_chunk(instance, policies, source, seed, start, count)
+        totals = _multiunit_chunk(instance, policies, tag, seed, start, count)
     elif engine == "tree":
         totals = _tree_chunk(instance, policies, source, seed, start, count)
     else:
@@ -353,14 +437,16 @@ def _chunk_worker(args):
     return totals.sum(axis=1), (totals * totals).sum(axis=1)
 
 
-def _pick_engine(instance, policies, source, fast: bool) -> str:
+def _pick_engine(instance, policies, source, fast: bool) -> tuple[str, str | None]:
+    """The engine name, plus the multi-unit order tag its chunks need."""
     if not fast:
-        return "generic"
-    if _multiunit_fast_ok(instance, policies, source):
-        return "multiunit"
+        return "generic", None
+    tag = _multiunit_fast_tag(instance, policies, source)
+    if tag is not None:
+        return "multiunit", tag
     if _tree_fast_ok(instance, policies, source):
-        return "tree"
-    return "generic"
+        return "tree", None
+    return "generic", None
 
 
 def simulate_many(policies: list[Policy], instance: Instance, order_source,
@@ -371,10 +457,11 @@ def simulate_many(policies: list[Policy], instance: Instance, order_source,
         raise ValueError("need at least 2 trials")
     if isinstance(order_source, (tuple, list)):
         order_source = FixedOrder(check_order(order_source, instance.n))
-    engine = _pick_engine(instance, policies, order_source, fast)
+    engine, tag = _pick_engine(instance, policies, order_source, fast)
     starts = list(range(0, trials, CHUNK_SIZE))
-    jobs = [(instance, policies, order_source, seed, s, min(CHUNK_SIZE, trials - s), engine)
-            for s in starts]
+    # the engine goes last: benchmark tracing reads it from there
+    jobs = [(instance, policies, order_source, seed, s, min(CHUNK_SIZE, trials - s), tag,
+             engine) for s in starts]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_worker, jobs, chunksize=1))

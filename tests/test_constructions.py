@@ -12,7 +12,8 @@ from ocrlab.constructions import (ELEMENT_CAP_ENV, UFamily, build_multiunit_inst
                                   build_nested_instance, build_nested_scaled,
                                   build_pairs_instance, build_partition_instance,
                                   build_partition_scaled, build_tree_instance,
-                                  build_u_family, sample_tree_order, verify_u_family)
+                                  build_u_family, sample_tree_order,
+                                  tree_arrival_positions, verify_u_family)
 from ocrlab.errors import ExhaustedAttempts, TooLarge
 from ocrlab.feasibility import tree_offsets
 from ocrlab.policies import decode_nested_index
@@ -82,6 +83,27 @@ class TestTreeInstance:
                 # bottom-up: the deepest layer arrives first
                 assert max(deep) < min(mid)
                 assert max(mid) < min(kids)
+
+    @pytest.mark.parametrize("k, trials", [(2, 20), (4, 40), (6, 20)])
+    def test_arrival_positions_invert_the_expanded_order(self, k, trials):
+        # POS[e, D] with D = layer of e's deepest good strict ancestor (at
+        # most k-2) must be e's place in the recursively expanded order
+        inst = build_tree_instance(k)
+        offs = tree_offsets(k)
+        pos = tree_arrival_positions(k)
+        assert pos.shape == (inst.n, k - 1)
+        for trial in range(trials):
+            real = sample_tree_order(inst, seed=13, trial=trial)
+            at = np.empty(inst.n, dtype=np.int64)
+            at[np.asarray(real.order)] = np.arange(inst.n)
+            for layer in range(1, k + 1):
+                m = np.arange(k ** layer)
+                depth = np.zeros(len(m), dtype=np.int64)
+                for i in range(1, min(layer - 1, k - 2) + 1):
+                    ancestor = offs[i - 1] + m // k ** (layer - i)
+                    depth = np.where(real.good[ancestor], i, depth)
+                ids = offs[layer - 1] + m
+                np.testing.assert_array_equal(pos[ids, depth], at[ids])
 
     def test_draws_are_deterministic_per_cell(self):
         inst = build_tree_instance(4)

@@ -38,6 +38,15 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             trial_rng(0, -1)
 
+    def test_rejects_indices_that_would_wrap_the_key(self):
+        # trial << 2 wraps at 2**62, which gave trial 2**62 + 5 the key of trial 5
+        with pytest.raises(ValueError):
+            trial_rng(7, 2 ** 62 + 5)
+        with pytest.raises(ValueError):
+            trial_rng(2 ** 64, 0)
+        top = trial_rng(2 ** 64 - 1, 2 ** 62 - 1, STREAM_POLICY).random(8)
+        assert not np.array_equal(top, trial_rng(2 ** 64 - 1, 0, STREAM_POLICY).random(8))
+
 
 class TestValueDistribution:
     def test_validation(self):

@@ -132,8 +132,8 @@ class TestFastPaths:
             path = tmp_path / f"{built.name}.json"
             dump_instance(built, path)
             loaded, _ = load_instance(path)
-            assert _pick_engine(built, [policy], source, True) != "generic"
-            assert _pick_engine(loaded, [policy], source, True) != "generic"
+            assert _pick_engine(built, [policy], source, True)[0] != "generic"
+            assert _pick_engine(loaded, [policy], source, True)[0] != "generic"
 
     def test_edited_instances_take_the_generic_engine(self):
         # the construction tag alone must not pick a fast path whose closed
@@ -148,7 +148,7 @@ class TestFastPaths:
              greedy_policy(), TreeOrders()),
         ]
         for edited, policy, source in cases:
-            assert _pick_engine(edited, [policy], source, True) == "generic"
+            assert _pick_engine(edited, [policy], source, True)[0] == "generic"
             fast = simulate(policy, edited, source, trials=400, seed=1)
             slow = simulate(policy, edited, source, trials=400, seed=1, fast=False)
             assert fast.mean == slow.mean

@@ -11,9 +11,10 @@ from ocrlab.constructions import build_multiunit_instance, build_nested_scaled, 
     build_tree_instance
 from ocrlab.core import run_policy, sample_values, trial_rng
 from ocrlab.errors import BadThreshold, DecodeFailure, MissingLabels
-from ocrlab.montecarlo import FixedOrder, TreeOrders, simulate_many
-from ocrlab.policies import (Knowledge, MultiunitThresholdPolicy, decode_nested_index,
-                             greedy_policy, multiunit_threshold_policy,
+from ocrlab.montecarlo import CHUNK_SIZE, TREE_BLOCK_CELLS, FixedOrder, TreeOrders, \
+    simulate_many
+from ocrlab.policies import (Knowledge, MultiunitThresholdPolicy, always_discard_policy,
+                             decode_nested_index, greedy_policy, multiunit_threshold_policy,
                              nested_aware_policy, nested_guess_policy,
                              parse_policy_spec, tree_aware_policy,
                              tree_gamble_policy)
@@ -118,13 +119,16 @@ class TestTreePolicies:
     @pytest.mark.parametrize("k", [2, 4])
     def test_fast_walkers_match_generic_bit_exactly(self, k):
         inst = build_tree_instance(k)
-        policies = ([tree_aware_policy(), greedy_policy()]
-                    + [tree_gamble_policy(l) for l in range(4)])
-        src = TreeOrders()
-        fast = simulate_many(policies, inst, src, trials=300, seed=6, fast=True)
-        slow = simulate_many(policies, inst, src, trials=300, seed=6, fast=False)
-        for f, s in zip(fast, slow):
-            assert f.mean == s.mean and f.stderr == s.stderr
+        # k = 2 spans two chunks; k = 4 spans two of the fast path's trial blocks
+        trials = CHUNK_SIZE + 10 if k == 2 else 300
+        assert trials > min(CHUNK_SIZE, TREE_BLOCK_CELLS // inst.n)
+        policies = ([tree_aware_policy(), greedy_policy(), always_discard_policy()]
+                    + [tree_gamble_policy(l) for l in range(k + 1)])
+        for src in (TreeOrders(), TreeOrders(pool=3), TreeOrders(fixed=5)):
+            fast = simulate_many(policies, inst, src, trials=trials, seed=6, fast=True)
+            slow = simulate_many(policies, inst, src, trials=trials, seed=6, fast=False)
+            for f, s in zip(fast, slow):
+                assert f.mean == s.mean and f.stderr == s.stderr, src
 
 
 class TestNestedPolicies:
