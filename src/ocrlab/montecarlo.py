@@ -257,7 +257,8 @@ def _tree_tables(k: int) -> _TreeTables:
         hi[ids] = lo[ids] + width
         layer[ids] = depth
     # k + 1 bits: a tree with k >= 15 would have more than 10**17 elements
-    bit = np.where(layer > 0, np.left_shift(1, layer, dtype=np.int16), 0).astype(np.int16)
+    bit = np.left_shift(1, layer, dtype=np.int16)
+    bit[n] = 0
     for a in (poskey, lo, hi, layer, bit):
         a.setflags(write=False)
     return _TreeTables(poskey, pad, (1 << shift) - 1, lo, hi, layer, bit)
@@ -323,6 +324,8 @@ def _tree_walk_totals(k: int, rules, arrivals) -> np.ndarray:
     cols = np.arange(lo.shape[1])
     rank = np.arange(len(lo))[:, None]
     totals = np.zeros((len(rules), len(cols)), dtype=np.int64)
+    if not len(lo):  # no trial of the block has a value-1 element
+        return totals
     for row, (opened, flip) in enumerate(rules):
         flip = np.array(flip, dtype=np.int16)
         opened = np.full(len(cols), opened, dtype=np.int16)

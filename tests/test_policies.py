@@ -119,7 +119,7 @@ class TestTreePolicies:
     @pytest.mark.parametrize("k", [2, 4])
     def test_fast_walkers_match_generic_bit_exactly(self, k):
         inst = build_tree_instance(k)
-        # k = 2 spans two chunks; k = 4 spans two of the fast path's trial blocks
+        # k = 2 spans two chunks; k = 4 spans several of the fast path's trial blocks
         trials = CHUNK_SIZE + 10 if k == 2 else 300
         assert trials > min(CHUNK_SIZE, TREE_BLOCK_CELLS // inst.n)
         policies = ([tree_aware_policy(), greedy_policy(), always_discard_policy()]
@@ -129,6 +129,18 @@ class TestTreePolicies:
             slow = simulate_many(policies, inst, src, trials=trials, seed=6, fast=False)
             for f, s in zip(fast, slow):
                 assert f.mean == s.mean and f.stderr == s.stderr, src
+
+
+    def test_block_without_value_one_elements(self):
+        # seed 16 draws no value-1 element in trial CHUNK_SIZE, so the second
+        # chunk's only block has nothing to rank
+        inst = build_tree_instance(2)
+        assert not sample_values(inst, 16, CHUNK_SIZE).any()
+        policies = [tree_aware_policy(), greedy_policy(), tree_gamble_policy(1)]
+        fast = simulate_many(policies, inst, TreeOrders(), trials=CHUNK_SIZE + 1, seed=16)
+        slow = simulate_many(policies, inst, TreeOrders(), trials=CHUNK_SIZE + 1, seed=16,
+                             fast=False)
+        assert [f.mean for f in fast] == [s.mean for s in slow]
 
 
 class TestNestedPolicies:
