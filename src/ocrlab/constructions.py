@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,14 +82,17 @@ def tree_r_node_count(k: int) -> int:
     return (k ** (k - 2) - 1) // (k - 1)
 
 
-def _sample_tree_raw(k: int, seed: int, trial: int) -> np.ndarray:
-    """The random part of the order draw: row i marks the size-k/2 subset r
-    of node i of ``_tree_r_nodes(k)``, as a bool row over its k children."""
-    rng = trial_rng(seed, trial, STREAM_ORDER)
+def _sample_tree_raw(k: int, seed: int, trials: Sequence[int]) -> np.ndarray:
+    """The random part of the order draw for each of ``trials``: entry
+    [t, i] marks the size-k/2 subset r of node i of ``_tree_r_nodes(k)``, as
+    a bool row over its k children."""
+    u = np.empty((len(trials), tree_r_node_count(k), k))
+    for row, trial in zip(u, trials):
+        trial_rng(seed, trial, STREAM_ORDER).random(out=row)
     # one uniform row per node; the first k/2 of its argsort form a uniform
     # subset, and a child's rank in that argsort tells whether it is in it
-    first = np.argsort(rng.random((tree_r_node_count(k), k)), axis=1)
-    return first.argsort(axis=1) < k // 2
+    first = np.argsort(u, axis=-1)
+    return first.argsort(axis=-1) < k // 2
 
 
 def tree_good_layers(k: int, in_r: np.ndarray) -> list[np.ndarray]:
@@ -155,7 +159,7 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
     k = int(instance.metadata["k"])
     offs = tree_offsets(k)
     nodes = _tree_r_nodes(k)
-    in_r = _sample_tree_raw(k, seed, trial)
+    in_r = _sample_tree_raw(k, seed, [trial])[0]
     row = {node: i for i, node in enumerate(nodes)}
 
     order: list[int] = []

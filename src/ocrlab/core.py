@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InconsistentState, PolicyViolation, UnknownElement
 
@@ -27,17 +28,33 @@ STREAM_ORDER = 1
 STREAM_POLICY = 2
 
 
+class _CellKey(ISeedSequence):
+    """Hands Philox one cell's key as is. ``Philox(key=...)`` would first
+    seed a ``SeedSequence`` from OS entropy and then discard it; this key
+    gathers none. It cannot spawn, so neither can a ``trial_rng`` generator."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[int, int]):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its key: two 64-bit words
+        return np.array(self.words, dtype=np.uint64)
+
+
 def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.Generator:
     """Counter-based generator for one (seed, trial, stream) cell."""
+    seed, trial, stream = int(seed), int(trial), int(stream)
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial index must be nonnegative")
     # the key is (seed, trial << 2 | stream) in two 64-bit words; larger
-    # values would wrap onto another cell's key
+    # values would wrap or carry onto another cell's key
     if seed >= 2 ** 64 or trial >= 2 ** 62:
         raise ValueError("seed must be below 2**64 and trial index below 2**62")
-    key = np.array([np.uint64(seed), (np.uint64(trial) << np.uint64(2)) | np.uint64(stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= stream < 4:
+        raise ValueError("stream tag must lie in 0..3")
+    return np.random.Generator(np.random.Philox(_CellKey((seed, trial << 2 | stream))))
 
 
 class Action(enum.Enum):

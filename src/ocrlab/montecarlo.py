@@ -20,7 +20,7 @@ from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
                    FiniteOrderDistribution, Instance, Trace, ValueDistribution,
                    check_order, run_policy, sample_values, trial_rng)
 from .constructions import (_sample_tree_raw, sample_tree_order, tree_arrival_positions,
-                            tree_good_layers, tree_r_node_count)
+                            tree_good_layers)
 from .feasibility import KUniformOracle, TreePathOracle, tree_n, tree_offsets
 from .policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                        MultiunitThresholdPolicy, Policy, TreeAwarePolicy,
@@ -386,24 +386,21 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
              else _tree_greedy_rule(k) for i in walked]
     distinct = list(dict.fromkeys(rules))  # gambles with l >= k-2 coincide
     rule_row = [distinct.index(r) for r in rules]
-    reuse = bool(source.pool) or source.fixed is not None
-    drawn: dict[int, np.ndarray] = {}
+    drawn: dict[int, np.ndarray] = {}  # r-subsets per order trial of the chunk
     totals = np.zeros((len(policies), count), dtype=np.float64)
     block = max(1, TREE_BLOCK_CELLS // n)
+    u = np.empty((block, n))
     for first in range(0, count, block):
         size = min(block, count - first)
-        in_r = np.empty((size, tree_r_node_count(k), k), dtype=bool)
-        v1 = np.empty((size, n), dtype=bool)
-        for i in range(size):
-            trial = start + first + i
-            order_trial = source.order_trial(trial)
-            r = drawn.get(order_trial)
-            if r is None:
-                r = _sample_tree_raw(k, seed, order_trial)
-                if reuse:
-                    drawn[order_trial] = r
-            in_r[i] = r
-            np.less(trial_rng(seed, trial, STREAM_VALUES).random(n), p_one, out=v1[i])
+        trials = range(start + first, start + first + size)
+        wanted = [source.order_trial(t) for t in trials]
+        new = [t for t in dict.fromkeys(wanted) if t not in drawn]
+        if new:
+            drawn.update(zip(new, _sample_tree_raw(k, seed, new)))
+        in_r = np.stack([drawn[t] for t in wanted])
+        for row, trial in zip(u, trials):
+            trial_rng(seed, trial, STREAM_VALUES).random(n, out=row)
+        v1 = u[:size] < p_one
         cols = slice(first, first + size)
         if aware:
             totals[aware, cols] = _tree_aware_total(k, in_r, v1)

@@ -10,7 +10,8 @@ from pathlib import Path
 from ocrlab.constructions import build_multiunit_instance, build_tree_instance
 from ocrlab.montecarlo import (CHUNK_SIZE, FixedOrder, TreeOrders, collect_traces,
                                simulate_many)
-from ocrlab.policies import greedy_policy, multiunit_threshold_policy
+from ocrlab.policies import (greedy_policy, multiunit_threshold_policy, tree_aware_policy,
+                             tree_gamble_policy)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -60,3 +61,25 @@ def test_hooks_see_the_multiunit_fast_path():
     totals = tracer.layer_totals()
     assert totals["montecarlo.chunk.fast"]["calls"] == 2
     assert totals["core.trial_rng"]["calls"] == trials
+
+
+def test_hooks_see_the_batched_tree_path():
+    # one order and one value generator per trial, drawn through the traced
+    # module functions; a pool draws each distinct order trial once per chunk
+    tracing = _tracing()
+    instance = build_tree_instance(2)
+    policies = [tree_aware_policy(), tree_gamble_policy(0), greedy_policy()]
+    trials = CHUNK_SIZE + 10
+    for source, order_calls in ((TreeOrders(), trials), (TreeOrders(pool=3), 2 * 3)):
+        plain = simulate_many(policies, instance, source, trials=trials, seed=4)
+        tracer = tracing.Tracer()
+        saved = tracing.install(tracer)
+        try:
+            traced = simulate_many(policies, instance, source, trials=trials, seed=4)
+        finally:
+            tracing.uninstall(saved)
+        assert [r.mean for r in traced] == [r.mean for r in plain]
+        totals = tracer.layer_totals()
+        assert totals["montecarlo.chunk.fast"]["calls"] == 2
+        assert totals["core.trial_rng"]["calls"] == trials + order_calls
+        assert tracer.value_uniforms == trials * instance.n

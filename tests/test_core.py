@@ -47,6 +47,36 @@ class TestTrialRng:
         top = trial_rng(2 ** 64 - 1, 2 ** 62 - 1, STREAM_POLICY).random(8)
         assert not np.array_equal(top, trial_rng(2 ** 64 - 1, 0, STREAM_POLICY).random(8))
 
+    def test_rejects_stream_tags_that_would_carry_into_the_trial(self):
+        # trial << 2 | 4 is the key of trial + 1, stream 0
+        for stream in (-1, 4, 7):
+            with pytest.raises(ValueError):
+                trial_rng(7, 2, stream)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2 ** 64 - 1])
+    def test_streams_equal_philox_keyed_directly(self, seed):
+        for trial in (0, 1, 12345, 2 ** 62 - 1, np.int64(2 ** 62 - 1)):
+            for stream in range(4):
+                ours = trial_rng(seed, trial, stream)
+                key = np.array([seed, int(trial) << 2 | stream], dtype=np.uint64)
+                ref = np.random.Generator(np.random.Philox(key=key))
+                np.testing.assert_array_equal(ours.random(64), ref.random(64))
+                np.testing.assert_array_equal(ours.bit_generator.random_raw(16),
+                                              ref.bit_generator.random_raw(16))
+
+    def test_generators_are_independent_and_reproducible(self):
+        a, b = trial_rng(3, 4, 0), trial_rng(3, 4, 0)
+        first = a.random(16)
+        np.testing.assert_array_equal(b.random(16), first)  # drawing from a left b unmoved
+        a.random(5)
+        clone = pickle.loads(pickle.dumps(a))
+        np.testing.assert_array_equal(clone.random(8), a.random(8))
+
+    def test_generators_cannot_spawn(self):
+        # children would be seeded from OS entropy, which breaks reproducibility
+        with pytest.raises(TypeError):
+            trial_rng(3, 4, 0).spawn(1)
+
 
 class TestValueDistribution:
     def test_validation(self):
