@@ -9,12 +9,12 @@ Element ids are dense integers in [0, n). Values and probabilities are
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InconsistentState, PolicyViolation, UnknownElement
 
@@ -28,7 +28,7 @@ STREAM_ORDER = 1
 STREAM_POLICY = 2
 
 
-class _CellKey(ISeedSequence):
+class _CellKey:
     """Hands Philox one cell's key as is. ``Philox(key=...)`` would first
     seed a ``SeedSequence`` from OS entropy and then discard it; this key
     gathers none. It cannot spawn, so neither can a ``trial_rng`` generator."""
@@ -43,6 +43,15 @@ class _CellKey(ISeedSequence):
         return np.array(self.words, dtype=np.uint64)
 
 
+@functools.cache
+def _cell_key_type() -> type:
+    """``_CellKey``, registered as a NumPy ``ISeedSequence`` on first use:
+    importing ``numpy.random`` takes ~6 MB, which a program that draws
+    nothing (an exact solve) need not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+    return ISeedSequence.register(_CellKey)
+
+
 def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.Generator:
     """Counter-based generator for one (seed, trial, stream) cell."""
     seed, trial, stream = int(seed), int(trial), int(stream)
@@ -54,7 +63,8 @@ def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.G
         raise ValueError("seed must be below 2**64 and trial index below 2**62")
     if not 0 <= stream < 4:
         raise ValueError("stream tag must lie in 0..3")
-    return np.random.Generator(np.random.Philox(_CellKey((seed, trial << 2 | stream))))
+    key = _cell_key_type()((seed, trial << 2 | stream))
+    return np.random.Generator(np.random.Philox(key))
 
 
 class Action(enum.Enum):
