@@ -20,8 +20,8 @@ from .core import (STREAM_ORDER, ArrivalOrder, FiniteOrderDistribution, Instance
                    ValueDistribution, trial_rng)
 from .errors import ExhaustedAttempts, TooLarge
 from .feasibility import (KUniformOracle, NestedPhaseOracle, PairMatchOracle,
-                          PartitionOneBlockOracle, TreePathOracle, tree_n,
-                          tree_offsets)
+                          PartitionOneBlockOracle, TreePathOracle, tree_layout,
+                          tree_n, tree_offsets)
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 ELEMENT_CAP_ENV = "OCRLAB_ELEMENT_CAP"
@@ -68,24 +68,16 @@ class TreeOrderRealization:
     good: np.ndarray  # bool per element id
 
 
-def _tree_r_nodes(k: int) -> list[tuple[int, int]]:
-    """(layer, idx) for every node carrying an r-subset: strings of length
-    0..k-3, the root included, in layer-major lexicographic order."""
-    nodes = [(0, 0)] if k >= 3 else []
-    for layer in range(1, k - 2):
-        nodes.extend((layer, m) for m in range(k ** layer))
-    return nodes
-
-
 def tree_r_node_count(k: int) -> int:
-    """len(_tree_r_nodes(k)): 1 + k + ... + k**(k-3)."""
+    """Nodes with an r-subset, 1 + k + ... + k**(k-3): the root in row 0,
+    and node id e of the layers 1..k-3 in row e + 1."""
     return (k ** (k - 2) - 1) // (k - 1)
 
 
 def _sample_tree_raw(k: int, seed: int, trials: Sequence[int]) -> np.ndarray:
     """The random part of the order draw for each of ``trials``: entry
-    [t, i] marks the size-k/2 subset r of node i of ``_tree_r_nodes(k)``, as
-    a bool row over its k children."""
+    [t, i] marks the size-k/2 subset r of the node in row i (see
+    ``tree_r_node_count``), as a bool row over its k children."""
     u = np.empty((len(trials), tree_r_node_count(k), k))
     for row, trial in zip(u, trials):
         trial_rng(seed, trial, STREAM_ORDER).random(out=row)
@@ -157,19 +149,15 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
     remaining subtree bottom-up.
     """
     k = int(instance.metadata["k"])
-    offs = tree_offsets(k)
-    nodes = _tree_r_nodes(k)
+    offs, layout = tree_offsets(k), tree_layout(k)
     in_r = _sample_tree_raw(k, seed, [trial])[0]
-    row = {node: i for i, node in enumerate(nodes)}
 
     order: list[int] = []
 
     def bottom_up(layer: int, idx: int) -> None:
         # all strict descendants of (layer, idx), deepest first, lexicographic
         for depth in range(k, layer, -1):
-            width = k ** (depth - layer)
-            start = offs[depth - 1] + idx * width
-            order.extend(range(start, start + width))
+            order.extend(range(*layout.block(depth, offs[layer - 1] + idx)))
 
     def top_down(layer: int, idx: int) -> None:
         child_start = offs[layer] + idx * k
@@ -178,7 +166,7 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
             for j in range(k):
                 bottom_up(layer + 1, idx * k + j)
             return
-        r = in_r[row[(layer, idx)]]
+        r = in_r[offs[layer - 1] + idx + 1 if layer else 0]
         for j in range(k):
             if r[j]:
                 top_down(layer + 1, idx * k + j)
@@ -193,18 +181,11 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
     for _ in range(2):
         prev = np.repeat(prev, k)
         layers.append(prev)
-    r_strings = {_node_string(k, layer, idx): frozenset(np.flatnonzero(in_r[i]).tolist())
-                 for i, (layer, idx) in enumerate(nodes)}
+    string_of = instance.feasibility.string_of
+    r_strings = {string_of(i - 1) if i else (): frozenset(np.flatnonzero(r).tolist())
+                 for i, r in enumerate(in_r)}
     return TreeOrderRealization(r=r_strings, order=tuple(order),
                                 good=np.concatenate(layers))
-
-
-def _node_string(k: int, layer: int, idx: int) -> tuple[int, ...]:
-    chars = []
-    for _ in range(layer):
-        chars.append(idx % k + 1)
-        idx //= k
-    return tuple(reversed(chars))
 
 
 # --- random set family (nested-phase completion sets) ------------------------

@@ -23,6 +23,7 @@ state does not allow. Oracles are immutable and all queries are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -148,11 +149,44 @@ def tree_offsets(k: int) -> list[int]:
 
 
 @dataclass(frozen=True)
+class TreeLayout:
+    """Per element id of the k-ary tree: its layer (1-based) and its leaf
+    interval [lo, hi), the leaves below it numbered 0..k**k-1. Two intervals
+    are nested or disjoint, and they meet exactly when the nodes are
+    comparable (one string is a prefix of the other)."""
+
+    k: int
+    offsets: tuple[int, ...]
+    width: tuple[int, ...]  # [d-1]: leaves below a layer-d node
+    layer: tuple[int, ...]
+    span: tuple[tuple[int, int], ...]  # (lo, hi)
+
+    def block(self, d: int, e: int) -> tuple[int, int]:
+        """The id range [start, stop) of the layer-d nodes comparable with
+        ``e``: its ancestor above e's layer, e itself at it, and its
+        descendants below."""
+        lo, hi = self.span[e]
+        w, base = self.width[d - 1], self.offsets[d - 1]
+        return base + lo // w, base + (hi - 1) // w + 1
+
+
+@functools.lru_cache(maxsize=None)
+def tree_layout(k: int) -> TreeLayout:
+    width = tuple(k ** (k - d) for d in range(1, k + 1))
+    layer, span = [], []
+    for d, w in enumerate(width, 1):
+        layer += [d] * k ** d
+        span += [(m * w, m * w + w) for m in range(k ** d)]
+    return TreeLayout(k, tuple(tree_offsets(k)), width, tuple(layer), tuple(span))
+
+
+@dataclass(frozen=True)
 class TreePathOracle:
     """Feasible sets are subsets of a single root-to-leaf path: any two
     member strings must be prefix-comparable. The selected nodes form a
     chain, so a node extends it exactly when it is comparable with the
-    deepest one."""
+    deepest one. Every query reads the cached ``tree_layout(k)``, and the
+    oracle pickles as its k."""
 
     kind = "tree_path"
     k: int
@@ -161,48 +195,46 @@ class TreePathOracle:
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
             raise ValueError("tree arity must be even and at least 2")
-        object.__setattr__(self, "_offsets", tuple(tree_offsets(self.k)))
-        object.__setattr__(self, "n", self._offsets[-1])
+        layout = tree_layout(self.k)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "n", layout.offsets[-1])
+
+    def __reduce__(self):
+        return TreePathOracle, (self.k,)
 
     def layer_index(self, e: int) -> tuple[int, int]:
         """(layer, index-within-layer), layer 1-based."""
         _check(e, self.n)
-        offs = self._offsets
-        for layer in range(1, self.k + 1):
-            if e < offs[layer]:
-                return layer, e - offs[layer - 1]
-        raise UnknownElement(e)
+        layer = self._layout.layer[e]
+        return layer, e - self._layout.offsets[layer - 1]
 
     def element_id(self, layer: int, idx: int) -> int:
-        return self._offsets[layer - 1] + idx
+        return self._layout.offsets[layer - 1] + idx
 
     def string_of(self, e: int) -> tuple[int, ...]:
         """The element's string, characters 1-based as displayed."""
-        layer, m = self.layer_index(e)
-        chars = []
-        for _ in range(layer):
-            chars.append(m % self.k + 1)
-            m //= self.k
-        return tuple(reversed(chars))
+        layer, _ = self.layer_index(e)
+        lo = self._layout.span[e][0]
+        return tuple(lo // w % self.k + 1 for w in self._layout.width[:layer])
 
     def parent(self, e: int) -> int | None:
-        layer, m = self.layer_index(e)
-        if layer == 1:
-            return None
-        return self.element_id(layer - 1, m // self.k)
+        layer, _ = self.layer_index(e)
+        return None if layer == 1 else self._layout.block(layer - 1, e)[0]
 
     def comparable(self, e1: int, e2: int) -> bool:
-        l1, m1 = self.layer_index(e1)
-        l2, m2 = self.layer_index(e2)
-        if l1 > l2:
-            l1, m1, l2, m2 = l2, m2, l1, m1
-        return m2 // self.k ** (l2 - l1) == m1
+        _check(e1, self.n)
+        _check(e2, self.n)
+        return self.allowed(e1, e2)[0]
 
     def start(self) -> int | None:
         return None
 
     def allowed(self, deepest: int | None, e: int) -> tuple[bool, bool]:
-        return deepest is None or self.comparable(deepest, e), True
+        if deepest is None:
+            return True, True
+        # comparable exactly when the leaf intervals meet
+        (lo1, hi1), (lo2, hi2) = self._layout.span[deepest], self._layout.span[e]
+        return lo1 < hi2 and lo2 < hi1, True
 
     def commit(self, deepest: int | None, e: int, select: bool) -> int | None:
         if not select:

@@ -21,7 +21,7 @@ from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
                    check_order, run_policy, sample_values, trial_rng)
 from .constructions import (_sample_tree_raw, sample_tree_order, tree_arrival_positions,
                             tree_good_layers)
-from .feasibility import KUniformOracle, TreePathOracle, tree_n, tree_offsets
+from .feasibility import KUniformOracle, TreePathOracle, tree_layout, tree_n, tree_offsets
 from .policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                        MultiunitThresholdPolicy, Policy, TreeAwarePolicy,
                        TreeGamblePolicy)
@@ -106,10 +106,19 @@ class TreeOrders:
         return real.order, {"good": real.good}
 
 
-def _knowledge_for(policy: Policy, instance: Instance, source, order, side_info) -> Knowledge:
-    if policy.aware:
-        return Knowledge.aware(order, **side_info)
-    return Knowledge.unaware(source.distribution(instance.n))
+def _trial_traces(instance: Instance, policies, source, seed: int, trials):
+    """Per trial, every policy's trace on the trial's order and values. The
+    unaware knowledge does not depend on the trial, so it is built once."""
+    unaware = Knowledge.unaware(source.distribution(instance.n))
+    for trial in trials:
+        order, side_info = source.realize(instance, seed, trial)
+        values = sample_values(instance, seed, trial)
+        traces = []
+        for policy in policies:
+            kn = Knowledge.aware(order, **side_info) if policy.aware else unaware
+            policy.start(instance, kn, rng=trial_rng(seed, trial, STREAM_POLICY))
+            traces.append(run_policy(policy, instance, order, values))
+        yield traces
 
 
 # --- chunk evaluation --------------------------------------------------------------
@@ -117,14 +126,9 @@ def _knowledge_for(policy: Policy, instance: Instance, source, order, side_info)
 
 def _generic_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
     totals = np.empty((len(policies), count), dtype=np.float64)
-    for i in range(count):
-        trial = start + i
-        order, side_info = source.realize(instance, seed, trial)
-        values = sample_values(instance, seed, trial)
-        for p_idx, policy in enumerate(policies):
-            kn = _knowledge_for(policy, instance, source, order, side_info)
-            policy.start(instance, kn, rng=trial_rng(seed, trial, STREAM_POLICY))
-            totals[p_idx, i] = run_policy(policy, instance, order, values).total
+    runs = _trial_traces(instance, policies, source, seed, range(start, start + count))
+    for i, traces in enumerate(runs):
+        totals[:, i] = [trace.total for trace in traces]
     return totals
 
 
@@ -231,31 +235,24 @@ class _TreeTables:
     poskey: np.ndarray  # (k-1, n): POS[e, D] << shift | e
     pad: int  # key of a value-0 element: sorts after every other, decodes to n
     id_mask: int
-    lo: np.ndarray  # (n+1,): the leaves below the element are [lo, hi)
-    hi: np.ndarray
-    layer: np.ndarray  # (n+1,): 0 for the pad
+    lo: np.ndarray  # (n+1,): ``tree_layout(k)``'s leaf intervals [lo, hi)
+    hi: np.ndarray  # and layers, the pad's being (0, 0) and 0
+    layer: np.ndarray
     bit: np.ndarray  # (n+1,): 1 << layer, 0 for the pad
 
 
 @functools.lru_cache(maxsize=None)
 def _tree_tables(k: int) -> _TreeTables:
-    offs = tree_offsets(k)
-    n = offs[k]
+    layout = tree_layout(k)
+    n = layout.offsets[-1]
     pos = tree_arrival_positions(k).T
     shift, key_dtype = (16, np.uint32) if n < 2 ** 16 else (32, np.uint64)
     pad = n << shift | n
     poskey = np.where(pos >= 0, pos.astype(key_dtype) << shift
                       | np.arange(n, dtype=key_dtype), key_dtype(pad))
     leaf_dtype = np.int16 if k ** k < 2 ** 15 else np.int32
-    lo = np.zeros(n + 1, dtype=leaf_dtype)
-    hi = np.zeros(n + 1, dtype=leaf_dtype)
-    layer = np.zeros(n + 1, dtype=np.int8)
-    for depth in range(1, k + 1):
-        ids = slice(offs[depth - 1], offs[depth])
-        width = k ** (k - depth)
-        lo[ids] = np.arange(k ** depth) * width
-        hi[ids] = lo[ids] + width
-        layer[ids] = depth
+    lo, hi = np.array(layout.span + ((0, 0),), dtype=leaf_dtype).T.copy()
+    layer = np.array(layout.layer + (0,), dtype=np.int8)
     # k + 1 bits: a tree with k >= 15 would have more than 10**17 elements
     bit = np.left_shift(1, layer, dtype=np.int16)
     bit[n] = 0
@@ -488,14 +485,8 @@ def collect_traces(policy: Policy, instance: Instance, order_source, trials: int
     """Debugging helper: full traces for the first min(trials, 1000) trials."""
     if isinstance(order_source, (tuple, list)):
         order_source = FixedOrder(check_order(order_source, instance.n))
-    traces = []
-    for trial in range(min(trials, TRACE_CAP)):
-        order, side_info = order_source.realize(instance, seed, trial)
-        values = sample_values(instance, seed, trial)
-        kn = _knowledge_for(policy, instance, order_source, order, side_info)
-        policy.start(instance, kn, rng=trial_rng(seed, trial, STREAM_POLICY))
-        traces.append(run_policy(policy, instance, order, values))
-    return traces
+    runs = _trial_traces(instance, [policy], order_source, seed, range(min(trials, TRACE_CAP)))
+    return [traces[0] for traces in runs]
 
 
 # --- ratio estimation -----------------------------------------------------------------

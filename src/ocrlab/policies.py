@@ -25,8 +25,8 @@ class Knowledge:
     """What the policy is told before the trial starts.
 
     Aware knowledge carries the realized order plus realization-dependent
-    side information (tree good/bad labels, nested phase layout). Unaware
-    knowledge carries only a description of the order distribution.
+    side information (the tree's good/bad labels). Unaware knowledge
+    carries only a description of the order distribution.
     """
 
     variant: str  # "aware" | "unaware"
@@ -112,12 +112,8 @@ class TreeAwarePolicy(Policy):
         self._k = self._oracle.k
 
     def _is_last_good_sibling(self, e: int) -> bool:
-        layer, m = self._oracle.layer_index(e)
-        base = self._oracle.element_id(layer, (m // self._k) * self._k)
-        for t in range(m % self._k + 1, self._k):
-            if self._good[base + t]:
-                return False
-        return True
+        _, m = self._oracle.layer_index(e)  # siblings have consecutive ids
+        return not any(self._good[e + 1: e + self._k - m % self._k])
 
     def decide(self, e, v, state, acts):
         if not self._good[e]:
@@ -198,12 +194,9 @@ class NestedAwarePolicy(Policy):
         super().start(instance, knowledge, rng)
         oracle = instance.feasibility
         self._oracle = oracle
-        i = knowledge.side_info.get("phase_index")
-        if i is None:
-            if knowledge.order is None:
-                raise MissingLabels("nested_aware needs the realized order")
-            i = decode_nested_index(oracle, knowledge.order)
-        self._i = int(i)
+        if knowledge.order is None:
+            raise MissingLabels("nested_aware needs the realized order")
+        self._i = decode_nested_index(oracle, knowledge.order)
         self._v_set = oracle.v_set(self._i)
         self._a_set = set(oracle.a_ids)
         self._b_set = set(oracle.b_ids)

@@ -19,7 +19,7 @@ from .core import (Action, ArrivalOrder, FiniteOrderDistribution, Instance,
 from .errors import InconsistentState, TooLarge
 from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
-                          materialize, tree_offsets)
+                          materialize, tree_layout)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     On a ``TreePathOracle`` the state is (position, deepest selected node or
     none): every feasible set is a chain, and an element arriving later can
     join the chain exactly when it is comparable with the deepest selected
-    node, so nothing else about the past matters. Position ``pos`` has
-    ``pos + 1`` reachable states, n(n+1)/2 in all; ``max_states`` bounds
-    that count and ``max_elements`` does not apply.
+    node, so nothing else about the past matters. A position updates only
+    the states comparable with its element, O(n·k) in all; ``max_states``
+    bounds that count and ``max_elements`` does not apply.
 
     Every other oracle kind runs the order-unaware expectimax on the
     one-order belief, whose nodes are then (position, feasibility state):
@@ -105,39 +105,39 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     return _expectimax(instance, one_order, limits)
 
 
+def _expect(atoms, sel, keep):
+    """The stage value when selecting is worth ``sel`` and discarding ``keep``."""
+    total = 0.0
+    for v, p in atoms:
+        total = total + p * np.maximum(v + sel, keep)
+    return total
+
+
 def _opt_aware_tree_path(instance: Instance, order: ArrivalOrder,
                          limits: SolverLimits) -> SolveResult:
     """Backward induction over (position, deepest selected node), one NumPy
-    vector per position indexed by node id, with slot n for "nothing
-    selected". Slots of nodes that have not arrived yet hold unused values."""
-    n = instance.n
-    states = n * (n + 1) // 2
+    vector indexed by node id, with slot n for "nothing selected". At e's
+    position, from nothing or an ancestor of e, selecting e makes e the
+    deepest node; from a descendant of e, the deepest node stays. Every
+    other slot can only discard e and keeps its value. A layer-L node is
+    comparable with k**max(0, d - L) nodes of layer d, itself standing in
+    for "none"; ``states_expanded`` counts these slot updates."""
+    layout = tree_layout(instance.feasibility.k)
+    k, n = layout.k, instance.n
+    states = sum(k ** layer * sum(k ** max(0, d - layer) for d in range(1, k + 1))
+                 for layer in range(1, k + 1))
     if states > limits.max_states:
         raise TooLarge(f"{states} states over the limit {limits.max_states}")
-    oracle = instance.feasibility
-    k = oracle.k
-    offs = tree_offsets(k)
-    none = n
-    nxt = np.zeros(n + 1)
-    for pos in range(n - 1, -1, -1):
-        e = order[pos]
-        layer, m = oracle.layer_index(e)
-        # continuation after selecting e from each state; -inf where e does
-        # not extend the chain, so only discarding counts there
-        sel = np.full(n + 1, -np.inf)
-        # from nothing or an ancestor of e, e becomes the deepest node
-        ancestors = [offs[a - 1] + m // k ** (layer - a) for a in range(1, layer)]
-        sel[ancestors + [none]] = nxt[e]
-        # from a descendant of e, the deepest node stays
+    w = np.zeros(n + 1)
+    for e in reversed(order):
+        atoms = instance.dists[e].atoms
+        layer = layout.layer[e]
+        up = [layout.block(d, e)[0] for d in range(1, layer)] + [n]
+        w[up] = _expect(atoms, w[e], w[up])
         for d in range(layer + 1, k + 1):
-            width = k ** (d - layer)
-            lo = offs[d - 1] + m * width
-            sel[lo:lo + width] = nxt[lo:lo + width]
-        cur = np.zeros(n + 1)
-        for v, p in instance.dists[e].atoms:
-            cur += p * np.maximum(v + sel, nxt)
-        nxt = cur
-    return SolveResult(value=float(nxt[none]), states_expanded=states)
+            below = w[slice(*layout.block(d, e))]
+            below[:] = _expect(atoms, below, below)
+    return SolveResult(value=float(w[n]), states_expanded=states)
 
 
 def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
@@ -186,7 +186,11 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
         cache[key] = total
         return total
 
-    value = rec(tuple(range(len(orders.orders))), 0, instance.feasibility.start())
+    try:
+        value = rec(tuple(range(len(orders.orders))), 0, instance.feasibility.start())
+    except RecursionError:  # three frames per position
+        raise TooLarge(f"an order of {n} elements is too long for the expectimax "
+                       f"recursion") from None
     return SolveResult(value=value, states_expanded=budget.count)
 
 
@@ -203,14 +207,10 @@ def max_feasible_sum(oracle, values: np.ndarray) -> float:
             return 0.0
         return float(np.sort(values)[-oracle.k:].sum())
     if isinstance(oracle, TreePathOracle):
-        k = oracle.k
-        acc = values[:k].copy()
-        offset = k
-        for layer in range(2, k + 1):
-            width = k ** layer
-            acc = np.repeat(acc, k) + values[offset:offset + width]
-            offset += width
-        return float(acc.max())
+        # per leaf, the sum over its root-to-leaf path
+        layout, leaves = tree_layout(oracle.k), np.arange(oracle.k ** oracle.k)
+        return float(sum(values[o + leaves // w]
+                         for o, w in zip(layout.offsets, layout.width)).max())
     if isinstance(oracle, PartitionOneBlockOracle):
         return max(sum(values[e] for e in b) for b in oracle.blocks)
     if isinstance(oracle, PairMatchOracle):

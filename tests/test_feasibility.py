@@ -6,6 +6,7 @@ walked along random online runs against the same search."""
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -115,6 +116,31 @@ class TestTreeLayout:
         assert not oracle.comparable(2, 3)   # siblings
         assert oracle.is_feasible({0, 2})
         assert not oracle.is_feasible({0, 5})
+
+    def test_layout_matches_digit_strings_k4(self):
+        k = 4
+        oracle = TreePathOracle(k=k)
+        offs = tree_offsets(k)
+        # every id's base-k digits, from its layer and index within the layer
+        digits = {}
+        for layer in range(1, k + 1):
+            for m in range(k ** layer):
+                e = offs[layer - 1] + m
+                digits[e] = tuple(m // k ** (layer - 1 - i) % k for i in range(layer))
+                assert oracle.layer_index(e) == (layer, m)
+        for e, s in digits.items():
+            assert oracle.string_of(e) == tuple(c + 1 for c in s)
+            parent = oracle.parent(e)
+            assert (parent is None) if len(s) == 1 else digits[parent] == s[:-1]
+        rng = np.random.default_rng(5)
+        for a, b in rng.integers(0, oracle.n, size=(2000, 2)).tolist():
+            short = min(len(digits[a]), len(digits[b]))
+            assert oracle.comparable(a, b) == (digits[a][:short] == digits[b][:short])
+
+    def test_pickles_as_its_arity(self):
+        oracle = TreePathOracle(k=4)
+        assert len(pickle.dumps(oracle)) <= 98
+        assert pickle.loads(pickle.dumps(oracle)) == oracle
 
     def test_odd_arity_rejected(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,21 @@ class TestTreePathInduction:
         # a chain holds at most one node per layer, each worth at most 1
         assert 0.0 < opt_aware_exact(instance, order).value <= 4.0
 
+    def test_pinned_k4_values(self):
+        # the values of the dense (n+1)-slot update this induction replaced
+        instance = build_tree_instance(4)
+        pinned = ("2.652299413042532", "2.6737905588616697", "2.653166297242649")
+        for trial, value in enumerate(pinned):
+            res = opt_aware_exact(instance, sample_tree_order(instance, 2026, trial).order)
+            assert repr(res.value) == value
+            assert res.states_expanded == 2164  # slots comparable with each element
+
+    def test_k6_fits_the_default_limits(self):
+        instance = build_tree_instance(6)
+        res = opt_aware_exact(instance, sample_tree_order(instance, 2026, 0).order)
+        assert round(res.value, 4) == 3.8130
+        assert res.states_expanded == 593_466
+
     def test_state_budget(self):
         instance = build_tree_instance(2)
         with pytest.raises(TooLarge):
@@ -182,6 +197,12 @@ class TestGuards:
         with pytest.raises(TooLarge):
             opt_aware_exact(instance, orders.orders[0],
                             limits=SolverLimits(max_states=1))
+
+    def test_long_order_is_too_large_not_a_recursion_error(self):
+        instance, orders = build_multiunit_instance(100)
+        with pytest.raises(TooLarge, match="400 elements"):
+            opt_aware_exact(instance, orders.orders[0],
+                            limits=SolverLimits(max_elements=400, max_states=10**7))
 
     def test_exhaustive_guards(self):
         instance = build_partition_scaled(blocks=3, block_size=3, p=0.5)
