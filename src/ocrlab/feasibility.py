@@ -169,6 +169,16 @@ class TreeLayout:
         w, base = self.width[d - 1], self.offsets[d - 1]
         return base + lo // w, base + (hi - 1) // w + 1
 
+    @functools.cached_property
+    def ancestors(self) -> tuple[tuple[int, ...], ...]:
+        """Per id, the ids of its ancestors from layer 1 down: a node's row
+        is its parent's row and the parent."""
+        rows: list[tuple[int, ...]] = [()] * self.k
+        for e in range(self.k, self.offsets[-1]):
+            parent = self.block(self.layer[e] - 1, e)[0]
+            rows.append(rows[parent] + (parent,))
+        return tuple(rows)
+
 
 @functools.lru_cache(maxsize=None)
 def tree_layout(k: int) -> TreeLayout:

@@ -9,6 +9,7 @@ All solvers enumerate finite supports exactly; they are guarded by
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,24 +58,6 @@ class _StateBudget:
         self.count += 1
         if self.count > self.max_states:
             raise TooLarge(f"state budget {self.max_states} exceeded")
-
-
-def _stage(instance: Instance, state, e: int, rest) -> float:
-    """Expected value of deciding ``e`` best once its value is seen, where
-    ``rest(next_state)`` is the value of the run after it."""
-    oracle = instance.feasibility
-    can_sel, can_dis = oracle.allowed(state, e)
-    if not (can_sel or can_dis):
-        raise InconsistentState("state admits no action")
-    total = 0.0
-    for v, p in instance.dists[e].atoms:
-        branches = []
-        if can_sel:
-            branches.append(v + rest(oracle.commit(state, e, True)))
-        if can_dis:
-            branches.append(rest(oracle.commit(state, e, False)))
-        total += p * max(branches)
-    return total
 
 
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
@@ -132,7 +115,7 @@ def _opt_aware_tree_path(instance: Instance, order: ArrivalOrder,
     for e in reversed(order):
         atoms = instance.dists[e].atoms
         layer = layout.layer[e]
-        up = [layout.block(d, e)[0] for d in range(1, layer)] + [n]
+        up = [*layout.ancestors[e], n]
         w[up] = _expect(atoms, w[e], w[up])
         for d in range(layer + 1, k + 1):
             below = w[slice(*layout.block(d, e))]
@@ -146,10 +129,11 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
     the realization: expectimax over belief states.
 
     A node is (belief, position, feasibility state): the orders still alive
-    in a belief share the exact identity prefix, and the oracle's state
-    summarizes the decisions taken on it. The next element's identity splits
-    the belief; values are order-independent, so only the current element's
-    realization enters.
+    in a belief share the exact identity prefix, so a node of the orders'
+    prefix trie stands for both, and the oracle's state summarizes the
+    decisions taken on it. The next element's identity splits the belief;
+    values are order-independent, so only the current element's realization
+    enters.
     """
     limits = limits or UNAWARE_LIMITS
     n = instance.n
@@ -160,37 +144,76 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
     return _expectimax(instance, orders, limits)
 
 
+def _order_trie(orders: FiniteOrderDistribution, n: int) -> list[tuple]:
+    """The prefix trie of the orders, built level by level. Node 0 is the
+    root, and ``trie[t]`` lists node t's children as (element, w_g / w_live,
+    child): the next element and the weight share, among the orders alive at
+    t, of those that continue with it. A node fixes both the live orders and
+    the position; a node at position n has no children."""
+    weights = orders.weights
+    trie: list[tuple] = []
+    level = [tuple(range(len(orders.orders)))]
+    for pos in range(n):
+        first = len(trie) + len(level)  # the id of the next level's first node
+        nxt: list[tuple[int, ...]] = []
+        for live in level:
+            w_live = sum(weights[i] for i in live)
+            groups: dict[int, list[int]] = {}
+            for i in live:
+                groups.setdefault(orders.orders[i][pos], []).append(i)
+            trie.append(tuple((e, sum(weights[i] for i in idxs) / w_live,
+                               first + len(nxt) + c)
+                              for c, (e, idxs) in enumerate(groups.items())))
+            nxt += map(tuple, groups.values())
+        level = nxt
+    return trie + [()] * len(level)
+
+
 def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
                 limits: SolverLimits) -> SolveResult:
     n = instance.n
+    oracle = instance.feasibility
+    allowed, commit = oracle.allowed, oracle.commit
+    atoms = [d.atoms for d in instance.dists]
+    trie = _order_trie(orders, n)
+    memo: list[dict] = [{} for _ in trie]
     budget = _StateBudget(limits.max_states)
-    cache: dict[tuple, float] = {}
 
-    def rec(live: tuple[int, ...], pos: int, state) -> float:
-        if pos == n:
+    def rec(node: int, state) -> float:
+        """Value of the run from trie ``node`` in feasibility ``state``: each
+        next element, weighted by its share of the live orders, is decided
+        best once its value is seen."""
+        seen = memo[node]
+        if state in seen:
+            return seen[state]
+        children = trie[node]
+        if not children:
             return 0.0
-        key = (live, pos, state)
-        if key in cache:
-            return cache[key]
         budget.tick()
-        w_live = sum(orders.weights[i] for i in live)
-        groups: dict[int, list[int]] = {}
-        for i in live:
-            groups.setdefault(orders.orders[i][pos], []).append(i)
         total = 0.0
-        for e, idxs in groups.items():
-            w_g = sum(orders.weights[i] for i in idxs)
-            g = tuple(idxs)
-            stage = _stage(instance, state, e, lambda nxt: rec(g, pos + 1, nxt))
-            total += (w_g / w_live) * stage
-        cache[key] = total
+        for e, share, child in children:
+            can_sel, can_dis = allowed(state, e)
+            if not (can_sel or can_dis):
+                raise InconsistentState("state admits no action")
+            sel = rec(child, commit(state, e, True)) if can_sel else -math.inf
+            keep = rec(child, commit(state, e, False)) if can_dis else -math.inf
+            stage = 0.0
+            for v, p in atoms[e]:
+                best = v + sel  # max(best, keep), without the call
+                stage += p * (keep if keep > best else best)
+            total += share * stage
+        seen[state] = total
         return total
 
     try:
-        value = rec(tuple(range(len(orders.orders))), 0, instance.feasibility.start())
-    except RecursionError:  # three frames per position
+        value = rec(0, oracle.start())
+    except RecursionError:  # one frame per position
         raise TooLarge(f"an order of {n} elements is too long for the expectimax "
                        f"recursion") from None
+    finally:
+        # rec's closure refers to rec; unbinding it frees the memo now, not
+        # at the next full garbage collection
+        del rec
     return SolveResult(value=value, states_expanded=budget.count)
 
 

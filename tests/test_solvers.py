@@ -3,14 +3,16 @@ closed-form values on the calibration instances, and resource guards."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_micro_instance
 from ocrlab.core import FiniteOrderDistribution, Instance, ValueDistribution
-from ocrlab.constructions import (build_multiunit_instance, build_pairs_instance,
-                                  build_partition_scaled, build_tree_instance,
-                                  sample_tree_order)
+from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
+                                  build_pairs_instance, build_partition_scaled,
+                                  build_tree_instance, sample_tree_order)
 from ocrlab.errors import TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
@@ -19,6 +21,8 @@ from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
+
+WIDE = SolverLimits(max_elements=400, max_orders=64, max_states=10**7)
 
 
 class TestAgainstBruteForce:
@@ -119,6 +123,45 @@ class TestStateMemo:
             assert res.states_expanded <= 21 * 6
 
 
+class TestOrderTrie:
+    """The expectimax keyed on (order-trie node, feasibility state)."""
+
+    def test_multiunit_k100_solves(self):
+        # one frame per position: the 400-element orders fit the recursion;
+        # (2k - OPT)/sqrt(k) is the independent backward induction's value
+        instance, orders = build_multiunit_instance(100)
+        limits = SolverLimits(max_elements=400, max_states=10**7)
+        for order, scaled in zip(orders.orders, (0.2906, 0.2245)):
+            res = opt_aware_exact(instance, order, limits=limits)
+            assert round((200 - res.value) / 10, 4) == scaled
+            assert res.states_expanded == 35_350
+
+    def test_nested_sweep_values_and_states(self):
+        # 4, 8 and 16 orders at q = 2**-k1: the live-order-tuple expectimax's values
+        pinned = {(2, 12, 3): ("0.3583984375", 649),
+                  (3, 24, 3): ("0.19142388552427292", 8_985),
+                  (4, 64, 4): ("0.09883911684676296", 161_825)}
+        for (k1, k3, u), (value, states) in pinned.items():
+            instance, orders = build_nested_scaled(k1, 2 ** k1, k3, u_size=u, q=2.0 ** -k1)
+            res = opt_unaware_exact(instance, orders, limits=WIDE)
+            assert (repr(res.value), res.states_expanded) == (value, states)
+
+    def test_memo_is_freed_with_the_solve(self):
+        # the 8-order sweep instance: without the unbinding, ten solves
+        # leave ~3.4 MB of memo behind for the next full collection
+        instance, orders = build_nested_scaled(3, 8, 24, u_size=3, q=0.125)
+        opt_unaware_exact(instance, orders, limits=WIDE)  # warm the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                opt_unaware_exact(instance, orders, limits=WIDE)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20
+
+
 class TestProphet:
     def test_pairs_closed_form(self):
         instance, _ = build_pairs_instance(3)
@@ -199,10 +242,10 @@ class TestGuards:
                             limits=SolverLimits(max_states=1))
 
     def test_long_order_is_too_large_not_a_recursion_error(self):
-        instance, orders = build_multiunit_instance(100)
-        with pytest.raises(TooLarge, match="400 elements"):
+        instance, orders = build_multiunit_instance(300)
+        with pytest.raises(TooLarge, match="1200 elements"):
             opt_aware_exact(instance, orders.orders[0],
-                            limits=SolverLimits(max_elements=400, max_states=10**7))
+                            limits=SolverLimits(max_elements=1200, max_states=10**7))
 
     def test_exhaustive_guards(self):
         instance = build_partition_scaled(blocks=3, block_size=3, p=0.5)
