@@ -195,6 +195,7 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
             can_sel, can_dis = allowed(state, e)
             if not (can_sel or can_dis):
                 raise InconsistentState("state admits no action")
+            # an action the state forbids is worth -inf, so it never wins
             sel = rec(child, commit(state, e, True)) if can_sel else -math.inf
             keep = rec(child, commit(state, e, False)) if can_dis else -math.inf
             stage = 0.0
