@@ -60,10 +60,12 @@ def build_tree_instance(k: int) -> Instance:
 
 @dataclass(frozen=True)
 class TreeOrderRealization:
-    """One draw of the tree order distribution: the per-node half-subsets r,
-    the resulting arrival order, and the good/bad label of every element."""
+    """One draw of the tree order distribution: the per-node half-subsets r
+    as ``_sample_tree_raw``'s bool rows (row 0 the root's, row e + 1 node
+    e's, over its k children), the resulting arrival order, and the good/bad
+    label of every element."""
 
-    r: dict[tuple[int, ...], frozenset[int]]
+    in_r: np.ndarray
     order: ArrivalOrder
     good: np.ndarray  # bool per element id
 
@@ -181,10 +183,7 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
     for _ in range(2):
         prev = np.repeat(prev, k)
         layers.append(prev)
-    string_of = instance.feasibility.string_of
-    r_strings = {string_of(i - 1) if i else (): frozenset(np.flatnonzero(r).tolist())
-                 for i, r in enumerate(in_r)}
-    return TreeOrderRealization(r=r_strings, order=tuple(order),
+    return TreeOrderRealization(in_r=in_r, order=tuple(order),
                                 good=np.concatenate(layers))
 
 

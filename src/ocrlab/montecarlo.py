@@ -62,9 +62,6 @@ class FixedOrder:
 
     order: ArrivalOrder
 
-    def distribution(self, n: int) -> FiniteOrderDistribution:
-        return FiniteOrderDistribution.uniform([check_order(self.order, n)])
-
     def realize(self, instance, seed, trial):
         return self.order, {}
 
@@ -74,9 +71,6 @@ class SampledOrders:
     """Per trial, one order drawn from a finite distribution."""
 
     dist: FiniteOrderDistribution
-
-    def distribution(self, n: int) -> FiniteOrderDistribution:
-        return self.dist
 
     def realize(self, instance, seed, trial):
         idx = self.dist.sample_index(trial_rng(seed, trial, STREAM_ORDER))
@@ -93,9 +87,6 @@ class TreeOrders:
     pool: int | None = None
     fixed: int | None = None
 
-    def distribution(self, n: int) -> None:
-        return None
-
     def order_trial(self, trial: int) -> int:
         if self.fixed is not None:
             return self.fixed
@@ -106,17 +97,28 @@ class TreeOrders:
         return real.order, {"good": real.good}
 
 
+def _as_source(order_source, n: int):
+    """The order source, a bare order becoming a ``FixedOrder``; a fixed
+    order must be a permutation of the instance's elements."""
+    if isinstance(order_source, (tuple, list)):
+        return FixedOrder(check_order(order_source, n))
+    if isinstance(order_source, FixedOrder):
+        check_order(order_source.order, n)
+    return order_source
+
+
 def _trial_traces(instance: Instance, policies, source, seed: int, trials):
-    """Per trial, every policy's trace on the trial's order and values. The
-    unaware knowledge does not depend on the trial, so it is built once."""
-    unaware = Knowledge.unaware(source.distribution(instance.n))
+    """Per trial, every policy's trace on the trial's order and values. A
+    policy that draws gets the trial's policy stream, fresh for each."""
+    unaware = Knowledge.unaware()
     for trial in trials:
         order, side_info = source.realize(instance, seed, trial)
         values = sample_values(instance, seed, trial)
         traces = []
         for policy in policies:
             kn = Knowledge.aware(order, **side_info) if policy.aware else unaware
-            policy.start(instance, kn, rng=trial_rng(seed, trial, STREAM_POLICY))
+            rng = trial_rng(seed, trial, STREAM_POLICY) if policy.draws else None
+            policy.start(instance, kn, rng=rng)
             traces.append(run_policy(policy, instance, order, values))
         yield traces
 
@@ -452,8 +454,7 @@ def simulate_many(policies: list[Policy], instance: Instance, order_source,
     """Evaluate several policies on shared per-trial realizations."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if isinstance(order_source, (tuple, list)):
-        order_source = FixedOrder(check_order(order_source, instance.n))
+    order_source = _as_source(order_source, instance.n)
     engine, tag = _pick_engine(instance, policies, order_source, fast)
     starts = list(range(0, trials, CHUNK_SIZE))
     # the engine goes last: benchmark tracing reads it from there
@@ -483,9 +484,8 @@ def simulate(policy: Policy, instance: Instance, order_source, trials: int,
 def collect_traces(policy: Policy, instance: Instance, order_source, trials: int,
                    seed: int) -> list[Trace]:
     """Debugging helper: full traces for the first min(trials, 1000) trials."""
-    if isinstance(order_source, (tuple, list)):
-        order_source = FixedOrder(check_order(order_source, instance.n))
-    runs = _trial_traces(instance, [policy], order_source, seed, range(min(trials, TRACE_CAP)))
+    runs = _trial_traces(instance, [policy], _as_source(order_source, instance.n), seed,
+                         range(min(trials, TRACE_CAP)))
     return [traces[0] for traces in runs]
 
 

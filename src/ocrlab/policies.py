@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Action, ArrivalOrder, DecisionState, FiniteOrderDistribution, Instance
+from .core import Action, ArrivalOrder, DecisionState, Instance
 from .errors import BadThreshold, DecodeFailure, MissingLabels
 
 SELECT, DISCARD = Action.SELECT, Action.DISCARD
@@ -26,13 +26,12 @@ class Knowledge:
 
     Aware knowledge carries the realized order plus realization-dependent
     side information (the tree's good/bad labels). Unaware knowledge
-    carries only a description of the order distribution.
+    carries neither.
     """
 
     variant: str  # "aware" | "unaware"
     order: ArrivalOrder | None = None
     side_info: dict = field(default_factory=dict)
-    order_distribution: FiniteOrderDistribution | None = None
 
     def __post_init__(self):
         if self.variant not in ("aware", "unaware"):
@@ -45,8 +44,8 @@ class Knowledge:
         return Knowledge(variant="aware", order=order, side_info=side_info)
 
     @staticmethod
-    def unaware(order_distribution: FiniteOrderDistribution | None = None) -> "Knowledge":
-        return Knowledge(variant="unaware", order_distribution=order_distribution)
+    def unaware() -> "Knowledge":
+        return Knowledge(variant="unaware")
 
 
 class Policy:
@@ -54,6 +53,7 @@ class Policy:
 
     name = "policy"
     aware = False
+    draws = False  # whether ``start`` draws from its random stream
 
     def start(self, instance: Instance, knowledge: Knowledge,
               rng: np.random.Generator | None = None) -> None:
@@ -227,6 +227,7 @@ class NestedGuessPolicy(Policy):
             raise ValueError("rule must be 'fixed' or 'uniform'")
         self.rule = rule
         self.i = i
+        self.draws = rule == "uniform"
         self.name = f"nested_guess_{rule}" + (f"_i{i}" if rule == "fixed" else "")
 
     def start(self, instance, knowledge, rng=None):
@@ -359,7 +360,10 @@ def _no_args(make: Callable[[], Policy]):
 
 
 def _build_gamble(args):
-    return tree_gamble_policy(int(args.pop("l", "0")))
+    l = int(args.pop("l", "0"))
+    if args:
+        raise ValueError(f"unexpected arguments {args}")
+    return tree_gamble_policy(l)
 
 
 def _build_guess(args):

@@ -49,17 +49,6 @@ class SolveResult:
         return self.value
 
 
-class _StateBudget:
-    def __init__(self, max_states: int):
-        self.max_states = max_states
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.max_states:
-            raise TooLarge(f"state budget {self.max_states} exceeded")
-
-
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
                     limits: SolverLimits | None = None) -> SolveResult:
     """Optimal online value for a known order, by backward induction.
@@ -76,7 +65,7 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     the oracle's state summarizes everything the future depends on, so
     states reached by different histories share one sub-problem. For
     k-uniform constraints that is the selected count, at most n(k+1)
-    states. ``max_elements`` caps this recursion.
+    states. ``max_elements`` and ``max_states`` bound this solve.
     """
     limits = limits or AWARE_LIMITS
     n = instance.n
@@ -171,51 +160,54 @@ def _order_trie(orders: FiniteOrderDistribution, n: int) -> list[tuple]:
 
 def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
                 limits: SolverLimits) -> SolveResult:
-    n = instance.n
+    """Backward induction over (order-trie node, feasibility state). A
+    node's children have larger ids, so a forward pass in id order collects
+    the states that reach each node, and a backward pass values them: each
+    next element, weighted by its share of the live orders, is decided best
+    once its value is seen. Every node has one parent, so a node's values
+    are dropped once its parent is valued."""
     oracle = instance.feasibility
     allowed, commit = oracle.allowed, oracle.commit
     atoms = [d.atoms for d in instance.dists]
-    trie = _order_trie(orders, n)
-    memo: list[dict] = [{} for _ in trie]
-    budget = _StateBudget(limits.max_states)
-
-    def rec(node: int, state) -> float:
-        """Value of the run from trie ``node`` in feasibility ``state``: each
-        next element, weighted by its share of the live orders, is decided
-        best once its value is seen."""
-        seen = memo[node]
-        if state in seen:
-            return seen[state]
-        children = trie[node]
+    trie = _order_trie(orders, instance.n)
+    start = oracle.start()
+    reach: list[dict] = [{} for _ in trie]
+    reach[0][start] = None
+    states = 0
+    for node, children in enumerate(trie):
         if not children:
-            return 0.0
-        budget.tick()
-        total = 0.0
-        for e, share, child in children:
-            can_sel, can_dis = allowed(state, e)
-            if not (can_sel or can_dis):
-                raise InconsistentState("state admits no action")
-            # an action the state forbids is worth -inf, so it never wins
-            sel = rec(child, commit(state, e, True)) if can_sel else -math.inf
-            keep = rec(child, commit(state, e, False)) if can_dis else -math.inf
-            stage = 0.0
-            for v, p in atoms[e]:
-                best = v + sel  # max(best, keep), without the call
-                stage += p * (keep if keep > best else best)
-            total += share * stage
-        seen[state] = total
-        return total
-
-    try:
-        value = rec(0, oracle.start())
-    except RecursionError:  # one frame per position
-        raise TooLarge(f"an order of {n} elements is too long for the expectimax "
-                       f"recursion") from None
-    finally:
-        # rec's closure refers to rec; unbinding it frees the memo now, not
-        # at the next full garbage collection
-        del rec
-    return SolveResult(value=value, states_expanded=budget.count)
+            continue
+        states += len(reach[node])
+        if states > limits.max_states:
+            raise TooLarge(f"state budget {limits.max_states} exceeded")
+        for state in reach[node]:
+            for e, _, child in children:
+                can_sel, can_dis = allowed(state, e)
+                if not (can_sel or can_dis):
+                    raise InconsistentState("state admits no action")
+                if can_sel:
+                    reach[child][commit(state, e, True)] = None
+                if can_dis:
+                    reach[child][commit(state, e, False)] = None
+    for node in reversed(range(len(trie))):
+        children = trie[node]
+        values = reach[node]
+        for state in values:
+            total = 0.0
+            for e, share, child in children:
+                can_sel, can_dis = allowed(state, e)
+                # an action the state forbids is worth -inf, so it never wins
+                sel = reach[child][commit(state, e, True)] if can_sel else -math.inf
+                keep = reach[child][commit(state, e, False)] if can_dis else -math.inf
+                stage = 0.0
+                for v, p in atoms[e]:
+                    best = v + sel  # max(best, keep), without the call
+                    stage += p * (keep if keep > best else best)
+                total += share * stage
+            values[state] = total
+        for _, _, child in children:
+            reach[child] = None
+    return SolveResult(value=reach[0][start], states_expanded=states)
 
 
 # --- offline benchmark ---------------------------------------------------------
@@ -387,19 +379,16 @@ def exhaustive_policy_search(instance: Instance,
 
 
 def eval_policy_exact(policy, instance: Instance, order: ArrivalOrder,
-                      knowledge=None, limits: SolverLimits | None = None) -> float:
+                      limits: SolverLimits | None = None) -> float:
     """Expected value of a deterministic policy on a fixed order, by
     enumerating value realizations."""
     from .policies import Knowledge
 
     limits = limits or AWARE_LIMITS
     order = check_order(order, instance.n)
+    kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
     total = 0.0
     for values, prob in _iter_realizations(instance, limits):
-        if knowledge is None:
-            kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
-        else:
-            kn = knowledge
         policy.start(instance, kn)
         trace = run_policy(policy, instance, order, values)
         total += prob * trace.total

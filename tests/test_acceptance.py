@@ -25,7 +25,7 @@ from ocrlab.constructions import (UFamily, build_multiunit_instance,
                                   build_u_family, verify_u_family)
 from ocrlab.montecarlo import (FixedOrder, TreeOrders, estimate_ratio, simulate,
                               simulate_many)
-from ocrlab.policies import (Knowledge, greedy_policy, multiunit_threshold_policy,
+from ocrlab.policies import (greedy_policy, multiunit_threshold_policy,
                              nested_aware_policy, tree_aware_policy,
                              tree_gamble_policy)
 from ocrlab.solvers import (SolverLimits, eval_policy_exact, exhaustive_policy_search,
@@ -263,8 +263,7 @@ def test_criterion_7_ordering_relations():
             assert prophet >= v - 1e-9
         assert aware_avg >= unaware - 1e-9
         for policy in (greedy_policy(),):
-            val = sum(w * eval_policy_exact(policy, instance, o,
-                                            knowledge=Knowledge.unaware())
+            val = sum(w * eval_policy_exact(policy, instance, o)
                       for w, o in zip(orders.weights, orders.orders))
             assert unaware >= val - 1e-9
             report = ratio_exact(instance, orders, policy)

@@ -83,3 +83,25 @@ def test_hooks_see_the_batched_tree_path():
         assert totals["montecarlo.chunk.fast"]["calls"] == 2
         assert totals["core.trial_rng"]["calls"] == trials + order_calls
         assert tracer.value_uniforms == trials * instance.n
+
+
+def test_generic_tree_run_draws_no_unused_policy_streams():
+    # the 7 criterion 3 policies never draw, so a generic trial builds only
+    # its order and value generators
+    tracing = _tracing()
+    instance = build_tree_instance(2)
+    policies = ([tree_aware_policy(), greedy_policy()]
+                + [tree_gamble_policy(l) for l in range(5)])
+    trials = 5
+    plain = simulate_many(policies, instance, TreeOrders(), trials=trials, seed=4, fast=False)
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        traced = simulate_many(policies, instance, TreeOrders(), trials=trials, seed=4,
+                               fast=False)
+    finally:
+        tracing.uninstall(saved)
+    assert [r.mean for r in traced] == [r.mean for r in plain]
+    totals = tracer.layer_totals()
+    assert totals["montecarlo.chunk.generic"]["calls"] == 1
+    assert totals["core.trial_rng"]["calls"] == 2 * trials

@@ -191,13 +191,13 @@ class TestExitCodes:
         assert code == RESOURCE_ERROR and "distinct" in err
 
     def test_resource_error_on_a_long_exact_reference(self, tmp_path, capsys):
-        path = str(tmp_path / "mu300.json")
-        assert run(capsys, "gen", "--construction", "multiunit", "--k", "300",
+        path = str(tmp_path / "mu1000.json")
+        assert run(capsys, "gen", "--construction", "multiunit", "--k", "1000",
                    "--seed", "0", "--out", path)[0] == 0
         code, out, err = run(capsys, "ratio", "--instance", path, "--policy", "greedy",
                              "--trials", "100", "--seed", "0")
         assert code == RESOURCE_ERROR and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "1200" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2000000" in err
 
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",

@@ -19,6 +19,14 @@ from ocrlab.feasibility import tree_offsets
 from ocrlab.policies import decode_nested_index
 
 
+def r_subsets(inst, real):
+    """The realization's r-subsets keyed by node string: row 0 is the
+    root's, row e + 1 is node e's."""
+    string_of = inst.feasibility.string_of
+    return {string_of(i - 1) if i else (): frozenset(np.flatnonzero(row).tolist())
+            for i, row in enumerate(real.in_r)}
+
+
 class TestTreeInstance:
     def test_rejects_odd_or_tiny_arity(self):
         for k in (0, 1, 3, 5):
@@ -33,7 +41,7 @@ class TestTreeInstance:
         for trial in range(5):
             real = sample_tree_order(inst, seed=trial, trial=trial)
             assert real.order == (0, 1, 2, 3, 4, 5)
-            assert real.r == {}
+            assert r_subsets(inst, real) == {}
             assert real.good.all()
         strings = [inst.feasibility.string_of(e) for e in real.order]
         assert strings == [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -45,18 +53,20 @@ class TestTreeInstance:
         # the root's children always arrive first
         assert sorted(real.order[:4]) == [0, 1, 2, 3]
         # r-subsets: one for the root and one per layer-1 node, each of size 2
-        assert set(real.r) == {(), (1,), (2,), (3,), (4,)}
-        assert all(len(s) == 2 for s in real.r.values())
+        r = r_subsets(inst, real)
+        assert set(r) == {(), (1,), (2,), (3,), (4,)}
+        assert all(len(s) == 2 for s in r.values())
 
     def test_k4_good_labels_match_r(self):
         inst = build_tree_instance(4)
         oracle = inst.feasibility
         real = sample_tree_order(inst, seed=9, trial=2)
+        r = r_subsets(inst, real)
         for e in range(inst.n):
             s = oracle.string_of(e)
             # good iff every branching step (the first min(k-2, len) chars)
             # lies in the r-subset of the node it leaves
-            expect = all((s[d] - 1) in real.r[s[:d]] for d in range(min(2, len(s))))
+            expect = all((s[d] - 1) in r[s[:d]] for d in range(min(2, len(s))))
             assert bool(real.good[e]) == expect, (e, s)
 
     def test_k4_good_subtrees_top_down_bad_bottom_up(self):
@@ -109,9 +119,9 @@ class TestTreeInstance:
         inst = build_tree_instance(4)
         a = sample_tree_order(inst, seed=1, trial=4)
         b = sample_tree_order(inst, seed=1, trial=4)
-        assert a.order == b.order and a.r == b.r
+        assert a.order == b.order and r_subsets(inst, a) == r_subsets(inst, b)
         c = sample_tree_order(inst, seed=1, trial=5)
-        assert c.order != a.order or c.r != a.r
+        assert c.order != a.order or r_subsets(inst, c) != r_subsets(inst, a)
 
 
 class TestUFamily:

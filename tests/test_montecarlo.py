@@ -98,11 +98,15 @@ class TestOrderSources:
         again, _ = pinned.realize(inst, 2, 456)
         assert order == again and "good" in side
 
-    def test_fixed_order_distribution(self):
-        inst, orders = build_multiunit_instance(2)
-        src = FixedOrder(orders.orders[0])
-        dist = src.distribution(inst.n)
-        assert dist.orders == (orders.orders[0],)
+    def test_fixed_order_must_cover_every_element(self):
+        # a short order would otherwise walk 2 of the 3 elements
+        dists = tuple(ValueDistribution.bernoulli(0.5) for _ in range(3))
+        inst = Instance(name="three", dists=dists, feasibility=KUniformOracle(n=3, k=1))
+        for source in (FixedOrder((0, 1)), (0, 1)):
+            with pytest.raises(ValueError):
+                simulate(greedy_policy(), inst, source, trials=2, seed=0)
+            with pytest.raises(ValueError):
+                collect_traces(greedy_policy(), inst, source, trials=2, seed=0)
 
 
 def _edited(instance, first, stop, dist):

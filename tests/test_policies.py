@@ -52,7 +52,7 @@ class TestPolicySpecs:
     def test_rejects_malformed_specs(self):
         for spec in ("mystery", "greedy:x=1", "multiunit_threshold:d=1",
                      "multiunit_threshold:d=1,variant=pi1,extra=2",
-                     "tree_gamble:l"):
+                     "tree_gamble:l", "tree_gamble:l=2,bogus=7", "tree_gamble:L=2"):
             with pytest.raises(ValueError):
                 parse_policy_spec(spec)
 
@@ -92,7 +92,7 @@ class TestMultiunitThreshold:
             values = sample_values(inst, 8, trial)
             prefixes = []
             for order in orders.orders:
-                policy.start(inst, Knowledge.unaware(orders))
+                policy.start(inst, Knowledge.unaware())
                 trace = run_policy(policy, inst, order, values)
                 prefixes.append(trace.steps[:k])
             assert prefixes[0] == prefixes[1]
@@ -103,10 +103,10 @@ class TestMultiunitThreshold:
         inst, orders = build_multiunit_instance(4)
         policy = multiunit_threshold_policy(0.0, "unaware")
         values = np.array([1.75] * 4 + [1.0] * 4 + [0.0] * 8)  # every c worth 0
-        policy.start(inst, Knowledge.unaware(orders))
+        policy.start(inst, Knowledge.unaware())
         pi2_total = run_policy(policy, inst, orders.orders[1], values).total
         assert pi2_total == 4.0  # all four units bought after C passes
-        policy.start(inst, Knowledge.unaware(orders))
+        policy.start(inst, Knowledge.unaware())
         pi1_total = run_policy(policy, inst, orders.orders[0], values).total
         assert pi1_total == 0.0
 
@@ -155,10 +155,8 @@ class TestNestedPolicies:
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         # guessing the realized index recovers the aware value; any other
         # guess only ever gets the single surviving unit element
-        right = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[2],
-                                  knowledge=Knowledge.unaware())
-        wrong = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[0],
-                                  knowledge=Knowledge.unaware())
+        right = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[2])
+        wrong = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[0])
         assert right == pytest.approx(1.0 - 0.9 ** 8, abs=1e-12)
         assert wrong == pytest.approx(0.1, abs=1e-12)
 
@@ -168,6 +166,18 @@ class TestNestedPolicies:
             nested_guess_policy(rule="uniform").start(inst, Knowledge.unaware())
         policy = nested_guess_policy(rule="uniform")
         policy.start(inst, Knowledge.unaware(), rng=trial_rng(0, 0, 2))
+
+    def test_uniform_guess_draws_a_fresh_stream_per_policy(self):
+        # only the uniform guess draws; each copy gets the trial's policy
+        # stream afresh, whatever runs beside it
+        inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
+        specs = ("nested_guess:rule=uniform", "nested_aware", "nested_guess:rule=uniform",
+                 "greedy")
+        reports = simulate_many([parse_policy_spec(s) for s in specs], inst,
+                                FixedOrder(orders.orders[1]), trials=3001, seed=11)
+        for i in (0, 2):
+            assert repr(reports[i].mean) == "0.21726091302899034"
+            assert repr(reports[i].stderr) == "0.007529024033671293"
 
     def test_decode_failure_on_ambiguous_order(self):
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)

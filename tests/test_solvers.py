@@ -16,7 +16,7 @@ from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
 from ocrlab.errors import TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
-from ocrlab.policies import Knowledge, greedy_policy
+from ocrlab.policies import greedy_policy
 from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
@@ -113,7 +113,7 @@ class TestTreePathInduction:
 
 class TestStateMemo:
     def test_multiunit_counts_share_states(self):
-        # the k-uniform state is the selected count, so at k=5 the recursion
+        # the k-uniform state is the selected count, so at k=5 the solve
         # meets at most 6 states at each of the 21 positions
         instance, orders = build_multiunit_instance(5)
         limits = SolverLimits(max_elements=64, max_states=10_000_000)
@@ -127,7 +127,6 @@ class TestOrderTrie:
     """The expectimax keyed on (order-trie node, feasibility state)."""
 
     def test_multiunit_k100_solves(self):
-        # one frame per position: the 400-element orders fit the recursion;
         # (2k - OPT)/sqrt(k) is the independent backward induction's value
         instance, orders = build_multiunit_instance(100)
         limits = SolverLimits(max_elements=400, max_states=10**7)
@@ -197,8 +196,7 @@ class TestPolicyEvaluation:
                  ValueDistribution.deterministic(1.0))
         inst = Instance(name="cap1", dists=dists, feasibility=KUniformOracle(n=2, k=1))
         # greedy takes the first positive value: 2 w.p. 1/2, else the unit
-        val = eval_policy_exact(greedy_policy(), inst, (0, 1),
-                                knowledge=Knowledge.unaware())
+        val = eval_policy_exact(greedy_policy(), inst, (0, 1))
         assert val == pytest.approx(1.5, abs=1e-12)
 
     def test_ratio_exact_report(self):
@@ -241,11 +239,21 @@ class TestGuards:
             opt_aware_exact(instance, orders.orders[0],
                             limits=SolverLimits(max_states=1))
 
-    def test_long_order_is_too_large_not_a_recursion_error(self):
+    def test_long_order_solves(self):
+        # no depth limit: 3.5·k(k+1) states under the default budget, and
+        # (2k - OPT)/sqrt(k) lies between the independent induction's
+        # 0.2906 at k = 100 and 0.2911 at k = 1,000
         instance, orders = build_multiunit_instance(300)
-        with pytest.raises(TooLarge, match="1200 elements"):
+        res = opt_aware_exact(instance, orders.orders[0],
+                              limits=SolverLimits(max_elements=1200))
+        assert res.states_expanded == 316_050
+        assert round((600 - res.value) / np.sqrt(300), 4) == 0.2910
+
+    def test_longer_order_exceeds_the_default_state_budget(self):
+        instance, orders = build_multiunit_instance(1000)
+        with pytest.raises(TooLarge, match="state budget 2000000"):
             opt_aware_exact(instance, orders.orders[0],
-                            limits=SolverLimits(max_elements=1200, max_states=10**7))
+                            limits=SolverLimits(max_elements=4000))
 
     def test_exhaustive_guards(self):
         instance = build_partition_scaled(blocks=3, block_size=3, p=0.5)
@@ -262,4 +270,4 @@ class TestGuards:
             # force the enumeration path with a budget below 2^32 realizations
             explicit_limits = SolverLimits(max_elements=32, max_realizations=10)
             eval_policy_exact(greedy_policy(), instance, tuple(range(32)),
-                              knowledge=Knowledge.unaware(), limits=explicit_limits)
+                              limits=explicit_limits)
