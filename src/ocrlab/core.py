@@ -140,10 +140,6 @@ class Instance:
     def n(self) -> int:
         return len(self.dists)
 
-    def check_element(self, e: int) -> None:
-        if not (0 <= e < self.n):
-            raise UnknownElement(f"element {e} outside [0, {self.n})")
-
     def __getstate__(self):
         # the value groups are a cache of O(n) arrays; a pool worker that
         # needs them rebuilds them rather than receiving them with every job
@@ -205,12 +201,6 @@ class FiniteOrderDistribution:
 
 
 @dataclass
-class DecisionState:
-    selected: set[int] = field(default_factory=set)
-    discarded: set[int] = field(default_factory=set)
-
-
-@dataclass
 class Trace:
     steps: list[tuple[int, float, Action]]
     total: float
@@ -238,12 +228,12 @@ def sample_values(instance: Instance, seed: int, trial: int) -> np.ndarray:
     return out
 
 
-def allowed_actions(oracle, state: DecisionState, element: int) -> frozenset[Action]:
-    """The nonempty subset of {Select, Discard} consistent with the oracle."""
-    if element in state.selected or element in state.discarded:
+def allowed_actions(oracle, selected, discarded, element: int) -> frozenset[Action]:
+    """The nonempty subset of {Select, Discard} consistent with the decisions."""
+    if element in selected or element in discarded:
         raise InconsistentState(f"element {element} already decided")
     acts = frozenset(a for a in Action if oracle.can_extend(
-        state.selected, state.discarded, pin=(element, a is Action.SELECT)))
+        selected, discarded, pin=(element, a is Action.SELECT)))
     if not acts:
         raise InconsistentState("state admits no action; it violates its invariant")
     return acts
@@ -253,40 +243,38 @@ _BOTH = frozenset(Action)
 
 
 def run_policy(policy, instance: Instance, order: Sequence[int],
-               values: Mapping[int, float] | np.ndarray) -> Trace:
-    """Run one realization: forced actions applied automatically, the policy
-    asked only when both actions are allowed. The oracle's feasibility state
-    is carried along the order, so each step costs the same however many
-    elements were decided before it."""
+               values: Mapping[int, float] | np.ndarray, pstate) -> Trace:
+    """Run one realization from ``pstate``, the state ``policy.start``
+    returned: forced actions are applied and passed to ``notify``, and
+    ``decide`` is asked only when both actions are allowed. The oracle and
+    policy states are threaded along the order, so every step costs alike."""
     oracle = instance.feasibility
     n = instance.n
     feas = oracle.start()
-    state = DecisionState()
+    decided: set[int] = set()
     steps: list[tuple[int, float, Action]] = []
     total = 0.0
     for e in order:
         if not (0 <= e < n):
             raise UnknownElement(f"element {e} outside [0, {n})")
         v = float(values[e])
-        if e in state.selected or e in state.discarded:
+        if e in decided:
             raise InconsistentState(f"element {e} already decided")
+        decided.add(e)
         can_sel, can_dis = oracle.allowed(feas, e)
         if can_sel and can_dis:
-            action = policy.decide(e, v, state, _BOTH)
+            action, pstate = policy.decide(pstate, e, v)
             if action not in _BOTH:
                 raise PolicyViolation(f"policy {policy.name!r} returned disallowed {action}")
         elif can_sel or can_dis:
             action = Action.SELECT if can_sel else Action.DISCARD
-            policy.notify(e, v, state, action)
+            pstate = policy.notify(pstate, e, v, action)
         else:
             raise InconsistentState("state admits no action; it violates its invariant")
         select = action is Action.SELECT
         feas = oracle.commit(feas, e, select)
         if select:
-            state.selected.add(e)
             total += v
-        else:
-            state.discarded.add(e)
         steps.append((e, v, action))
     return Trace(steps=steps, total=total)
 

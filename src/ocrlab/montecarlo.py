@@ -98,12 +98,15 @@ class TreeOrders:
 
 
 def _as_source(order_source, n: int):
-    """The order source, a bare order becoming a ``FixedOrder``; a fixed
-    order must be a permutation of the instance's elements."""
+    """The order source, a bare order becoming a ``FixedOrder``; a fixed or
+    sampled order must be a permutation of the instance's elements."""
     if isinstance(order_source, (tuple, list)):
         return FixedOrder(check_order(order_source, n))
     if isinstance(order_source, FixedOrder):
         check_order(order_source.order, n)
+    elif isinstance(order_source, SampledOrders):
+        for order in order_source.dist.orders:
+            check_order(order, n)
     return order_source
 
 
@@ -118,8 +121,8 @@ def _trial_traces(instance: Instance, policies, source, seed: int, trials):
         for policy in policies:
             kn = Knowledge.aware(order, **side_info) if policy.aware else unaware
             rng = trial_rng(seed, trial, STREAM_POLICY) if policy.draws else None
-            policy.start(instance, kn, rng=rng)
-            traces.append(run_policy(policy, instance, order, values))
+            pstate = policy.start(instance, kn, rng=rng)
+            traces.append(run_policy(policy, instance, order, values, pstate))
         yield traces
 
 

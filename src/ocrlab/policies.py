@@ -1,9 +1,12 @@
 """Reference policies: what an order-aware decision-maker plays on each
 construction, and the unaware baselines they are measured against.
 
-A policy object is reusable: ``start`` re-initializes all per-trial state.
-``decide`` is only called when both actions are allowed; forced actions are
-reported through ``notify``.
+A policy is a pure state machine, like the feasibility oracles: ``start``
+validates the trial, sets its constants on the policy and returns the
+initial policy state, a small hashable value. ``decide(pstate, e, v) ->
+(action, pstate)`` is called only when both actions are allowed; forced
+actions go through ``notify(pstate, e, v, action) -> pstate``. Neither
+mutates the policy, which lets ``eval_policy_exact`` merge equal states.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Action, ArrivalOrder, DecisionState, Instance
+from .core import Action, ArrivalOrder, Instance
 from .errors import BadThreshold, DecodeFailure, MissingLabels
+from .feasibility import KUniformOracle
 
 SELECT, DISCARD = Action.SELECT, Action.DISCARD
 
@@ -56,23 +60,24 @@ class Policy:
     draws = False  # whether ``start`` draws from its random stream
 
     def start(self, instance: Instance, knowledge: Knowledge,
-              rng: np.random.Generator | None = None) -> None:
+              rng: np.random.Generator | None = None):
+        """Validate the trial, set its constants, return the initial state."""
         if self.aware and knowledge.variant != "aware":
             raise MissingLabels(f"{self.name} needs aware knowledge")
+        return None
 
-    def decide(self, e: int, v: float, state: DecisionState,
-               acts: frozenset[Action]) -> Action:
+    def decide(self, pstate, e: int, v: float) -> tuple[Action, object]:
         raise NotImplementedError
 
-    def notify(self, e: int, v: float, state: DecisionState, action: Action) -> None:
-        pass
+    def notify(self, pstate, e: int, v: float, action: Action):
+        return pstate
 
 
 class AlwaysDiscardPolicy(Policy):
     name = "always_discard"
 
-    def decide(self, e, v, state, acts):
-        return DISCARD
+    def decide(self, pstate, e, v):
+        return DISCARD, pstate
 
 
 class GreedyPolicy(Policy):
@@ -80,8 +85,8 @@ class GreedyPolicy(Policy):
 
     name = "greedy"
 
-    def decide(self, e, v, state, acts):
-        return SELECT if v > 0 else DISCARD
+    def decide(self, pstate, e, v):
+        return (SELECT if v > 0 else DISCARD), pstate
 
 
 def always_discard_policy() -> Policy:
@@ -110,23 +115,23 @@ class TreeAwarePolicy(Policy):
         self._good = np.asarray(good, dtype=bool)
         self._oracle = instance.feasibility
         self._k = self._oracle.k
+        return None
 
     def _is_last_good_sibling(self, e: int) -> bool:
         _, m = self._oracle.layer_index(e)  # siblings have consecutive ids
         return not any(self._good[e + 1: e + self._k - m % self._k])
 
-    def decide(self, e, v, state, acts):
-        if not self._good[e]:
-            return DISCARD
-        if v > 0 or self._is_last_good_sibling(e):
-            return SELECT
-        return DISCARD
+    def decide(self, pstate, e, v):
+        if self._good[e] and (v > 0 or self._is_last_good_sibling(e)):
+            return SELECT, pstate
+        return DISCARD, pstate
 
 
 class TreeGamblePolicy(Policy):
     """Unaware: gambles on up to l value-1 selections while walking down from
     the root through the first k-2 layers, then takes any feasible value-1
-    element in the last two layers."""
+    element in the last two layers. The state is (gambles made, deepest
+    selection within the first k-2 layers or None)."""
 
     name = "tree_gamble"
 
@@ -140,19 +145,16 @@ class TreeGamblePolicy(Policy):
         super().start(instance, knowledge, rng)
         self._oracle = instance.feasibility
         self._k = self._oracle.k
-        self._count = 0
-        self._tip = None  # deepest selection within the first k-2 layers
+        return 0, None
 
-    def decide(self, e, v, state, acts):
+    def decide(self, pstate, e, v):
         layer, _ = self._oracle.layer_index(e)
         if layer <= self._k - 2:
-            candidate = (self._oracle.parent(e) == self._tip)
-            if candidate and v > 0 and self._count < self.l:
-                self._count += 1
-                self._tip = e
-                return SELECT
-            return DISCARD
-        return SELECT if v > 0 else DISCARD
+            count, tip = pstate
+            if v > 0 and count < self.l and self._oracle.parent(e) == tip:
+                return SELECT, (count + 1, e)
+            return DISCARD, pstate
+        return (SELECT if v > 0 else DISCARD), pstate
 
 
 def tree_aware_policy() -> Policy:
@@ -185,7 +187,8 @@ def decode_nested_index(oracle, order: ArrivalOrder) -> int:
 
 class NestedAwarePolicy(Policy):
     """Selects the index set V_i encoded by the realized order, then the
-    first unit-value B element; the completion is forced."""
+    first unit-value B element; the completion is forced. The state is the
+    position in B of the selected B element, or None."""
 
     name = "nested_aware"
     aware = True
@@ -199,21 +202,25 @@ class NestedAwarePolicy(Policy):
         self._i = decode_nested_index(oracle, knowledge.order)
         self._v_set = oracle.v_set(self._i)
         self._a_set = set(oracle.a_ids)
-        self._b_set = set(oracle.b_ids)
         self._b_pos = {e: j for j, e in enumerate(oracle.b_ids)}
+        return None
 
-    def decide(self, e, v, state, acts):
+    def decide(self, pstate, e, v):
         if e in self._v_set:
-            return SELECT
-        if e in self._b_set:
-            return SELECT if v > 0 else DISCARD
+            return SELECT, pstate
+        if e in self._b_pos:
+            return (SELECT, self._b_pos[e]) if v > 0 else (DISCARD, pstate)
         if e in self._a_set:
-            return DISCARD
+            return DISCARD, pstate
         # C element with a live choice: keep it iff it completes the chosen b
-        sel_b = [self._b_pos[x] for x in state.selected if x in self._b_pos]
-        if sel_b and e in self._oracle.completion(self._i, sel_b[0]):
-            return SELECT
-        return DISCARD
+        if pstate is not None and e in self._oracle.completion(self._i, pstate):
+            return SELECT, pstate
+        return DISCARD, pstate
+
+    def notify(self, pstate, e, v, action):
+        if action is SELECT and e in self._b_pos:
+            return self._b_pos[e]
+        return pstate
 
 
 class NestedGuessPolicy(Policy):
@@ -243,13 +250,14 @@ class NestedGuessPolicy(Policy):
         self._v_set = oracle.v_set(guess)
         self._a_set = set(oracle.a_ids)
         self._b_set = set(oracle.b_ids)
+        return None
 
-    def decide(self, e, v, state, acts):
+    def decide(self, pstate, e, v):
         if e in self._a_set:
-            return SELECT if e in self._v_set else DISCARD
+            return (SELECT if e in self._v_set else DISCARD), pstate
         if e in self._b_set:
-            return SELECT if v > 0 else DISCARD
-        return DISCARD
+            return (SELECT if v > 0 else DISCARD), pstate
+        return DISCARD, pstate
 
 
 def nested_aware_policy() -> Policy:
@@ -268,7 +276,10 @@ PI1, PI2, UNAWARE_COMMIT = "pi1", "pi2", "unaware"
 class MultiunitThresholdPolicy(Policy):
     """Selects floor(d*sqrt(k/2)) of the 7/4-valued elements, then rations
     the remaining capacity between value-2 elements and the unit-valued
-    block according to the variant."""
+    block according to the variant. The state is (7/4-valued elements
+    taken, random-block elements seen). Under the k-uniform oracle that
+    ``start`` requires, every step after the first forced one is forced too:
+    ``decide`` always has capacity left, and forced steps keep the state."""
 
     def __init__(self, d: float, variant: str):
         if variant not in (PI1, PI2, UNAWARE_COMMIT):
@@ -283,47 +294,30 @@ class MultiunitThresholdPolicy(Policy):
     def start(self, instance, knowledge, rng=None):
         super().start(instance, knowledge, rng)
         self._k = int(instance.metadata["k"])
+        oracle = instance.feasibility
+        if not (isinstance(oracle, KUniformOracle) and oracle.k == self._k):
+            raise ValueError(f"{self.name} needs a k-uniform oracle with k={self._k}")
         self._m = math.floor(self.d * math.sqrt(self._k / 2))
         if self._m > self._k:
             raise BadThreshold(
                 f"d={self.d} asks for {self._m} > k={self._k} threshold selections")
-        self._a_taken = 0
-        self._c_seen = 0
+        return 0, 0
 
-    def _classify(self, e: int) -> str:
+    def decide(self, pstate, e, v):
+        a_taken, c_seen = pstate
         if e < self._k:
-            return "a"
+            if a_taken < self._m:
+                return SELECT, (a_taken + 1, c_seen)
+            return DISCARD, pstate
         if e < 2 * self._k:
-            return "b"
-        return "c"
-
-    def _observe(self, e: int) -> None:
-        if self._classify(e) == "c":
-            self._c_seen += 1
-
-    def notify(self, e, v, state, action):
-        self._observe(e)
-
-    def decide(self, e, v, state, acts):
-        self._observe(e)
-        capacity_left = len(state.selected) < self._k
-        cls = self._classify(e)
-        if cls == "a":
-            if self._a_taken < self._m and capacity_left:
-                self._a_taken += 1
-                return SELECT
-            return DISCARD
-        if cls == "b":
-            if not capacity_left:
-                return DISCARD
             if self.variant == PI1:
-                return DISCARD
+                return DISCARD, pstate
             if self.variant == PI2:
-                return SELECT
+                return SELECT, pstate
             # unaware: commit the leftover capacity to b only once no
             # value-2 surprise can still arrive
-            return SELECT if self._c_seen == 2 * self._k else DISCARD
-        return SELECT if (v >= 2 and capacity_left) else DISCARD
+            return (SELECT if c_seen == 2 * self._k else DISCARD), pstate
+        return (SELECT if v >= 2 else DISCARD), (a_taken, c_seen + 1)
 
 
 def multiunit_threshold_policy(d: float, variant: str) -> Policy:

@@ -2,7 +2,7 @@
 order, the best order-unaware algorithm against a known order distribution,
 the offline prophet value, and exact ratio reports.
 
-All solvers enumerate finite supports exactly; they are guarded by
+All solvers are exact over finite supports; they are guarded by
 ``SolverLimits`` and raise ``TooLarge`` rather than degrade.
 """
 
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Action, ArrivalOrder, FiniteOrderDistribution, Instance,
-                   check_order, run_policy)
-from .errors import InconsistentState, TooLarge
+from .core import Action, ArrivalOrder, FiniteOrderDistribution, Instance, check_order
+from .errors import InconsistentState, PolicyViolation, TooLarge
 from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
                           materialize, tree_layout)
@@ -380,18 +379,41 @@ def exhaustive_policy_search(instance: Instance,
 
 def eval_policy_exact(policy, instance: Instance, order: ArrivalOrder,
                       limits: SolverLimits | None = None) -> float:
-    """Expected value of a deterministic policy on a fixed order, by
-    enumerating value realizations."""
+    """Expected value of a deterministic policy on a fixed order, by one
+    forward pass of ``run_policy``'s steps: per position, a dict from (oracle
+    state, policy state) to probability mass, summing the gain as mass moves."""
     from .policies import Knowledge
 
     limits = limits or AWARE_LIMITS
     order = check_order(order, instance.n)
     kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
+    oracle = instance.feasibility
+    mass = {(oracle.start(), policy.start(instance, kn)): 1.0}
     total = 0.0
-    for values, prob in _iter_realizations(instance, limits):
-        policy.start(instance, kn)
-        trace = run_policy(policy, instance, order, values)
-        total += prob * trace.total
+    states = 0
+    for e in order:
+        states += len(mass)
+        if states > limits.max_states:
+            raise TooLarge(f"state budget {limits.max_states} exceeded")
+        nxt: dict = {}
+        for (feas, pstate), q in mass.items():
+            can_sel, can_dis = oracle.allowed(feas, e)
+            if not (can_sel or can_dis):
+                raise InconsistentState("state admits no action; it violates its invariant")
+            for v, p in instance.dists[e].atoms:
+                if can_sel and can_dis:
+                    action, after = policy.decide(pstate, e, v)
+                    if action not in (Action.SELECT, Action.DISCARD):
+                        raise PolicyViolation(
+                            f"policy {policy.name!r} returned disallowed {action}")
+                else:
+                    action = Action.SELECT if can_sel else Action.DISCARD
+                    after = policy.notify(pstate, e, v, action)
+                if action is Action.SELECT:
+                    total += q * p * v
+                key = (oracle.commit(feas, e, action is Action.SELECT), after)
+                nxt[key] = nxt.get(key, 0.0) + q * p
+        mass = nxt
     return total
 
 

@@ -136,8 +136,8 @@ def test_criterion_3_tree_order_ratio_clause():
     instance = build_tree_instance(4)
     sources = [TreeOrders(fixed=i) for i in range(50)]
     # the denominator of each order is solved on the very order its source plays
-    optima = [opt_aware_exact(instance, src.realize(instance, SEED, 0)[0]).value
-              for src in sources]
+    orders = [src.realize(instance, SEED, 0)[0] for src in sources]
+    optima = [opt_aware_exact(instance, order).value for order in orders]
 
     def per_order(policy, trials, references):
         return estimate_ratio(policy, instance, sources, trials=trials, seed=SEED,
@@ -164,12 +164,21 @@ def test_criterion_3_tree_order_ratio_clause():
                          ("tree_gamble_l0", tree_gamble_policy(0))):
         ctx = per_order(policy, 20_000, aware_refs)
         print(f"context, weaker policy {name} vs tree_aware: min ratio {ctx.min_ratio:.4f}")
+    # the numerator solved exactly too: no Monte Carlo error on either side
+    exact = [eval_policy_exact(best, instance, order) / opt
+             for order, opt in zip(orders, optima)]
+    print(f"exact {best.name} per-order ratios vs the exact optimum: "
+          f"min {min(exact):.4f}, max {max(exact):.4f}, "
+          f"mean {sum(exact) / len(exact):.4f}")
     ok = est.min_ratio <= 0.9
     print(f"criterion 3 (ratio clause): {'PASS' if ok else 'FAIL'} "
           f"(min ratio {est.min_ratio:.4f} against the exact optimum, required <= 0.9)")
     assert ok, (
         f"best unaware policy's min per-order ratio against the exact order-aware "
         f"optimum is {est.min_ratio:.4f} > 0.9")
+    assert min(exact) <= 0.9, (
+        f"exact min per-order ratio of {best.name} against the exact order-aware "
+        f"optimum is {min(exact):.4f} > 0.9")
 
 
 def test_criterion_4_nested_exact():

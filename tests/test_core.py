@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ocrlab.core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, Action,
-                         DecisionState, FiniteOrderDistribution, Instance,
+                         FiniteOrderDistribution, Instance,
                          ValueDistribution, allowed_actions, check_order,
                          dump_instance, instance_from_json_dict,
                          instance_to_json_dict, load_instance, run_policy,
@@ -123,19 +123,22 @@ class TestOrders:
         assert set(idx) == {0, 1}
 
 
-class _Exploder(Policy):
-    """Fails loudly if asked to decide; forced steps must go through notify."""
+class _Recorder(Policy):
+    """Selects when asked, counts its steps in its state, and logs each call
+    with the state it was given."""
 
-    name = "exploder"
+    name = "recorder"
 
     def __init__(self):
-        self.notified = []
+        self.calls = []
 
-    def decide(self, e, v, state, acts):
-        raise AssertionError("decide called on a forced step")
+    def decide(self, pstate, e, v):
+        self.calls.append(("decide", pstate, e))
+        return Action.SELECT, pstate + 1
 
-    def notify(self, e, v, state, action):
-        self.notified.append((e, action))
+    def notify(self, pstate, e, v, action):
+        self.calls.append(("notify", pstate, e, action))
+        return pstate + 1
 
 
 def _pairs_instance():
@@ -146,35 +149,30 @@ def _pairs_instance():
 class TestForcedSemantics:
     def test_allowed_actions_shrink_with_commitments(self):
         oracle = PairMatchOracle(k=2)
-        state = DecisionState(selected={0})
         # {0,1} is not inside any pair, so selecting 1 is impossible
-        assert allowed_actions(oracle, state, 1) == frozenset({Action.DISCARD})
-        assert allowed_actions(oracle, state, 2) == frozenset({Action.SELECT})
+        assert allowed_actions(oracle, {0}, set(), 1) == frozenset({Action.DISCARD})
+        assert allowed_actions(oracle, {0}, set(), 2) == frozenset({Action.SELECT})
 
     def test_already_decided_raises(self):
         with pytest.raises(InconsistentState):
-            allowed_actions(PairMatchOracle(k=2), DecisionState(selected={0}), 0)
+            allowed_actions(PairMatchOracle(k=2), {0}, set(), 0)
 
     def test_forced_steps_bypass_decide(self):
         oracle = PairMatchOracle(k=2)
         # with 0 discarded, pair {0,2} is dead: discarding 2 is forced
-        state = DecisionState(discarded={0})
-        assert allowed_actions(oracle, state, 2) == frozenset({Action.DISCARD})
-        # selecting 0 forces everything after: 1 out, 2 in
-        inst = _pairs_instance()
-        policy = _Exploder()
-        state = DecisionState(selected={0})
-        for e in (1, 2):
-            acts = allowed_actions(inst.feasibility, state, e)
-            assert len(acts) == 1
-            (action,) = acts
-            policy.notify(e, 0.0, state, action)
-            (state.selected if action is Action.SELECT else state.discarded).add(e)
-        assert policy.notified == [(1, Action.DISCARD), (2, Action.SELECT)]
+        assert allowed_actions(oracle, set(), {0}, 2) == frozenset({Action.DISCARD})
+        # selecting 0 forces everything after: 1 out, 2 in, 3 out; the
+        # policy state threads through decide and every notify
+        policy = _Recorder()
+        trace = run_policy(policy, _pairs_instance(), (0, 1, 2, 3), np.arange(4.0), 10)
+        assert policy.calls == [("decide", 10, 0), ("notify", 11, 1, Action.DISCARD),
+                                ("notify", 12, 2, Action.SELECT),
+                                ("notify", 13, 3, Action.DISCARD)]
+        assert trace.total == 2.0 and trace.selected_ids() == frozenset({0, 2})
 
     def test_run_policy_trace_and_totals(self):
         inst = _pairs_instance()
-        trace = run_policy(GreedyPolicy(), inst, (0, 1, 2, 3), np.arange(4.0))
+        trace = run_policy(GreedyPolicy(), inst, (0, 1, 2, 3), np.arange(4.0), None)
         # greedy cannot select 0 (worth 0 -> discard), then {1,3} is the pair
         assert trace.total == 4.0
         assert trace.selected_ids() == frozenset({1, 3})
@@ -183,18 +181,18 @@ class TestForcedSemantics:
         class Bad(Policy):
             name = "bad"
 
-            def decide(self, e, v, state, acts):
-                return "neither"
+            def decide(self, pstate, e, v):
+                return "neither", pstate
 
         with pytest.raises(PolicyViolation):
-            run_policy(Bad(), _pairs_instance(), (0, 1, 2, 3), np.arange(4.0))
+            run_policy(Bad(), _pairs_instance(), (0, 1, 2, 3), np.arange(4.0), None)
 
     def test_run_policy_rejects_bad_steps(self):
         inst = _pairs_instance()
         with pytest.raises(InconsistentState):
-            run_policy(GreedyPolicy(), inst, (0, 1, 1, 3), np.arange(4.0))
+            run_policy(GreedyPolicy(), inst, (0, 1, 1, 3), np.arange(4.0), None)
         with pytest.raises(UnknownElement):
-            run_policy(GreedyPolicy(), inst, (0, 1, 2, -1), np.arange(4.0))
+            run_policy(GreedyPolicy(), inst, (0, 1, 2, -1), np.arange(4.0), None)
 
         class Stuck:
             """An oracle whose every state admits no action."""
@@ -212,7 +210,7 @@ class TestForcedSemantics:
 
         stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck())
         with pytest.raises(InconsistentState):
-            run_policy(GreedyPolicy(), stuck, (0, 1, 2, 3), np.arange(4.0))
+            run_policy(GreedyPolicy(), stuck, (0, 1, 2, 3), np.arange(4.0), None)
 
 
 class TestSampleValues:
@@ -226,11 +224,6 @@ class TestSampleValues:
             u = trial_rng(11, trial, STREAM_VALUES).random(3)
             expected = np.array([dists[i].from_uniform(u[i]) for i in range(3)])
             np.testing.assert_array_equal(sample_values(inst, 11, trial), expected)
-
-    def test_unknown_element_check(self):
-        inst = _pairs_instance()
-        with pytest.raises(UnknownElement):
-            inst.check_element(4)
 
     def test_pickle_leaves_the_group_cache_behind(self):
         # pool jobs pickle the instance; the O(n) group arrays stay home

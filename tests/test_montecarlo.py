@@ -99,10 +99,12 @@ class TestOrderSources:
         assert order == again and "good" in side
 
     def test_fixed_order_must_cover_every_element(self):
-        # a short order would otherwise walk 2 of the 3 elements
+        # a short fixed or sampled order would otherwise walk 2 of the 3
+        # elements and report a mean
         dists = tuple(ValueDistribution.bernoulli(0.5) for _ in range(3))
         inst = Instance(name="three", dists=dists, feasibility=KUniformOracle(n=3, k=1))
-        for source in (FixedOrder((0, 1)), (0, 1)):
+        short = SampledOrders(FiniteOrderDistribution.uniform([(0, 1), (1, 0)]))
+        for source in (FixedOrder((0, 1)), (0, 1), short):
             with pytest.raises(ValueError):
                 simulate(greedy_policy(), inst, source, trials=2, seed=0)
             with pytest.raises(ValueError):

@@ -4,13 +4,18 @@ generic path."""
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from ocrlab.constructions import build_multiunit_instance, build_nested_scaled, \
     build_tree_instance
-from ocrlab.core import run_policy, sample_values, trial_rng
+from ocrlab.core import (STREAM_POLICY, Instance, ValueDistribution, run_policy,
+                         sample_values, trial_rng)
 from ocrlab.errors import BadThreshold, DecodeFailure, MissingLabels
+from ocrlab.feasibility import KUniformOracle, NestedPhaseOracle
 from ocrlab.montecarlo import CHUNK_SIZE, TREE_BLOCK_CELLS, FixedOrder, TreeOrders, \
     simulate_many
 from ocrlab.policies import (Knowledge, MultiunitThresholdPolicy, always_discard_policy,
@@ -37,6 +42,38 @@ class TestKnowledge:
         inst = build_tree_instance(2)
         with pytest.raises(MissingLabels):
             tree_aware_policy().start(inst, Knowledge.aware((0, 1, 2, 3, 4, 5)))
+
+
+class TestStateMachines:
+    def test_runs_leave_the_policy_as_start_left_it(self):
+        # decide and notify are pure: after start, runs from the one initial
+        # state change nothing on the policy and match runs after a fresh start
+        tree = build_tree_instance(4)
+        tree_order, side = TreeOrders().realize(tree, 3, 0)
+        multi, multi_orders = build_multiunit_instance(5)
+        nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.5)
+        unaware = Knowledge.unaware()
+        cases = [
+            (tree_aware_policy(), tree, tree_order, Knowledge.aware(tree_order, **side)),
+            (tree_gamble_policy(2), tree, tree_order, unaware),
+            (greedy_policy(), tree, tree_order, unaware),
+            (multiunit_threshold_policy(0.913, "unaware"), multi, multi_orders.orders[1],
+             unaware),
+            (nested_aware_policy(), nested, nested_orders.orders[1],
+             Knowledge.aware(nested_orders.orders[1])),
+            (nested_guess_policy(rule="uniform"), nested, nested_orders.orders[1], unaware),
+        ]
+        for policy, inst, order, kn in cases:
+            def start():
+                return policy.start(inst, kn, rng=trial_rng(5, 0, STREAM_POLICY))
+
+            pstate = start()
+            before = pickle.dumps(vars(policy))
+            for trial in range(10):
+                values = sample_values(inst, 5, trial)
+                trace = run_policy(policy, inst, order, values, pstate)
+                assert pickle.dumps(vars(policy)) == before, policy.name
+                assert trace == run_policy(policy, inst, order, values, start())
 
 
 class TestPolicySpecs:
@@ -92,8 +129,8 @@ class TestMultiunitThreshold:
             values = sample_values(inst, 8, trial)
             prefixes = []
             for order in orders.orders:
-                policy.start(inst, Knowledge.unaware())
-                trace = run_policy(policy, inst, order, values)
+                pstate = policy.start(inst, Knowledge.unaware())
+                trace = run_policy(policy, inst, order, values, pstate)
                 prefixes.append(trace.steps[:k])
             assert prefixes[0] == prefixes[1]
 
@@ -103,12 +140,22 @@ class TestMultiunitThreshold:
         inst, orders = build_multiunit_instance(4)
         policy = multiunit_threshold_policy(0.0, "unaware")
         values = np.array([1.75] * 4 + [1.0] * 4 + [0.0] * 8)  # every c worth 0
-        policy.start(inst, Knowledge.unaware())
-        pi2_total = run_policy(policy, inst, orders.orders[1], values).total
+        pstate = policy.start(inst, Knowledge.unaware())
+        pi2_total = run_policy(policy, inst, orders.orders[1], values, pstate).total
         assert pi2_total == 4.0  # all four units bought after C passes
-        policy.start(inst, Knowledge.unaware())
-        pi1_total = run_policy(policy, inst, orders.orders[0], values).total
+        pi1_total = run_policy(policy, inst, orders.orders[0], values, pstate).total
         assert pi1_total == 0.0
+
+    def test_requires_the_k_uniform_oracle(self):
+        # decide assumes capacity is left, which only the k-uniform oracle
+        # with the instance's k guarantees
+        inst, orders = build_multiunit_instance(3)
+        policy = multiunit_threshold_policy(0.913, "unaware")
+        policy.start(inst, Knowledge.unaware())
+        for oracle in (KUniformOracle(n=12, k=2), build_tree_instance(2).feasibility):
+            bad = dataclasses.replace(inst, feasibility=oracle)
+            with pytest.raises(ValueError, match="k-uniform"):
+                policy.start(bad, Knowledge.unaware())
 
 
 class TestTreePolicies:
@@ -150,6 +197,24 @@ class TestNestedPolicies:
         for order in orders.orders:
             val = eval_policy_exact(nested_aware_policy(), inst, order)
             assert val == pytest.approx(target, abs=1e-12)
+
+    def test_aware_completes_the_b_it_holds_whether_decided_or_forced(self):
+        # U_0 = {c0, c1} and U_1 = {c1, c2} overlap, so once b2 is held both
+        # (0, b2) and (1, b2) are alive and c2 is a live choice; only the
+        # policy state says which b is held, also when b2 came forced
+        a0, (b0, b1, b2, b3), (c0, c1, c2) = 0, (1, 2, 3, 4), (5, 6, 7)
+        oracle = NestedPhaseOracle(a_ids=(a0,), b_ids=(b0, b1, b2, b3), c_ids=(c0, c1, c2),
+                                   u_sets=(frozenset({c0, c1}), frozenset({c1, c2})))
+        inst = Instance("overlap", (ValueDistribution.deterministic(0.0),) * 8, oracle)
+        values = np.zeros(8)
+        values[b2] = 1.0
+        # c0 before the B block decodes index 1; b2 is decided as worth 1,
+        # or forced as the last B after the others are declined
+        for order in ((c0, b2, b0, b1, b3, c2, c1, a0), (c0, b0, b1, b3, b2, c2, c1, a0)):
+            policy = nested_aware_policy()
+            pstate = policy.start(inst, Knowledge.aware(order))
+            trace = run_policy(policy, inst, order, values, pstate)
+            assert trace.selected_ids() == {a0, b2, c2}, order
 
     def test_guess_value_depends_on_match(self):
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)

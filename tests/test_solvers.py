@@ -9,18 +9,22 @@ import numpy as np
 import pytest
 
 from conftest import random_micro_instance
-from ocrlab.core import FiniteOrderDistribution, Instance, ValueDistribution
+from ocrlab.core import (FiniteOrderDistribution, Instance, ValueDistribution,
+                         run_policy)
 from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
                                   build_pairs_instance, build_partition_scaled,
                                   build_tree_instance, sample_tree_order)
-from ocrlab.errors import TooLarge
+from ocrlab.errors import InconsistentState, PolicyViolation, TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
-from ocrlab.policies import greedy_policy
-from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, eval_policy_exact,
-                            exhaustive_policy_search, max_feasible_sum,
-                            opt_aware_exact, opt_unaware_exact, prophet_exact,
-                            ratio_exact)
+from ocrlab.policies import (GreedyPolicy, Knowledge, always_discard_policy,
+                             greedy_policy, multiunit_threshold_policy,
+                             nested_aware_policy, nested_guess_policy,
+                             tree_gamble_policy)
+from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, _iter_realizations,
+                            eval_policy_exact, exhaustive_policy_search,
+                            max_feasible_sum, opt_aware_exact, opt_unaware_exact,
+                            prophet_exact, ratio_exact)
 
 WIDE = SolverLimits(max_elements=400, max_orders=64, max_states=10**7)
 
@@ -190,7 +194,58 @@ class TestProphet:
                 assert max_feasible_sum(oracle, values) == pytest.approx(brute, abs=1e-12)
 
 
+def _enumerated(policy, instance, order) -> float:
+    """The forward pass's reference: every value realization, weighted by
+    its probability, run step by step through ``run_policy``."""
+    kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
+    pstate = policy.start(instance, kn)
+    return sum(prob * run_policy(policy, instance, order, values, pstate).total
+               for values, prob in _iter_realizations(instance, AWARE_LIMITS))
+
+
 class TestPolicyEvaluation:
+    def test_forward_pass_matches_enumeration(self):
+        cases = []
+        rng = np.random.default_rng(7)  # criterion 7's micro-instances
+        for _ in range(50):
+            instance, orders = random_micro_instance(rng)
+            cases += [(greedy_policy(), instance, o) for o in orders.orders]
+        # criterion 4's nested orders, with the aware policy and every guess
+        nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
+        for order in nested_orders.orders:
+            cases += [(p, nested, order) for p in
+                      [nested_aware_policy()] + [nested_guess_policy(i=i) for i in range(4)]]
+        tree = build_tree_instance(2)
+        for trial in range(8):
+            order = sample_tree_order(tree, 2026, trial).order
+            cases += [(p, tree, order) for p in
+                      (greedy_policy(), always_discard_policy(), tree_gamble_policy(0),
+                       tree_gamble_policy(1), tree_gamble_policy(2))]
+        multi, multi_orders = build_multiunit_instance(3)
+        for order in multi_orders.orders:
+            cases += [(multiunit_threshold_policy(d, v), multi, order)
+                      for d in (0.913, 1.152) for v in ("pi1", "pi2", "unaware")]
+        for policy, instance, order in cases:
+            assert eval_policy_exact(policy, instance, order) == pytest.approx(
+                _enumerated(policy, instance, order), rel=1e-12, abs=0), (policy.name, order)
+
+    def test_forward_pass_errors_match_run_policy(self):
+        class Bad(GreedyPolicy):
+            def decide(self, pstate, e, v):
+                return "neither", pstate
+
+        inst = build_pairs_instance(2)[0]
+        with pytest.raises(PolicyViolation):
+            eval_policy_exact(Bad(), inst, tuple(range(inst.n)))
+
+        class Stuck(KUniformOracle):
+            def allowed(self, count, e):
+                return False, False
+
+        stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck(n=inst.n, k=1))
+        with pytest.raises(InconsistentState):
+            eval_policy_exact(greedy_policy(), stuck, tuple(range(inst.n)))
+
     def test_greedy_on_capacity_one(self):
         dists = (ValueDistribution.bernoulli(0.5, hi=2.0),
                  ValueDistribution.deterministic(1.0))
@@ -265,9 +320,19 @@ class TestGuards:
             exhaustive_policy_search(ternary, (0,))
 
     def test_realization_budget(self):
-        instance = build_partition_scaled(blocks=8, block_size=4, p=0.25)
+        # the tree has no independent groups, so the prophet value enumerates
+        # its 2^6 realizations, over a budget of 10
+        instance = build_tree_instance(2)
         with pytest.raises(TooLarge):
-            # force the enumeration path with a budget below 2^32 realizations
-            explicit_limits = SolverLimits(max_elements=32, max_realizations=10)
-            eval_policy_exact(greedy_policy(), instance, tuple(range(32)),
-                              limits=explicit_limits)
+            prophet_exact(instance, limits=SolverLimits(max_realizations=10))
+
+    def test_policy_evaluation_state_budget(self):
+        # greedy on the k = 2 tree in id order: the pairs are (deepest
+        # selection or none, None), 1, 2, ..., 6 of them at the six positions
+        instance = build_tree_instance(2)
+        order = tuple(range(instance.n))
+        eval_policy_exact(greedy_policy(), instance, order,
+                          limits=SolverLimits(max_states=21))
+        with pytest.raises(TooLarge, match="state budget 20"):
+            eval_policy_exact(greedy_policy(), instance, order,
+                              limits=SolverLimits(max_states=20))
