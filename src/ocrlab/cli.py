@@ -22,7 +22,7 @@ from .constructions import (build_multiunit_instance, build_nested_instance,
                             build_nested_scaled, build_pairs_instance,
                             build_partition_instance, build_partition_scaled,
                             build_tree_instance, build_u_family, verify_u_family)
-from .core import dump_instance, instance_to_json_dict, load_instance
+from .core import dump_instance, instance_text, load_instance
 from .errors import (EncodingOverflow, ExhaustedAttempts, OcrlabError, TooLarge)
 from .feasibility import MATERIALIZE_MAX_ELEMENTS, materialize
 from .montecarlo import (FixedOrder, SampledOrders, TreeOrders, estimate_ratio,
@@ -246,8 +246,7 @@ def cmd_verify(args) -> int:
     instance, orders = load_instance(args.instance)
     with open(args.instance, "rb") as fh:
         original = fh.read()
-    rendered = _json_text(instance_to_json_dict(instance, orders))
-    identical = rendered.encode("utf-8") == original
+    identical = instance_text(instance, orders).encode("utf-8") == original
     doc = _wrap("verify", {"what": "instance", "instance": args.instance},
                 {"round_trip_identical": identical, "n": instance.n})
     _emit(_json_text(doc), args.out)

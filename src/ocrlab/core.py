@@ -165,7 +165,7 @@ ArrivalOrder = tuple[int, ...]
 
 
 def check_order(order: Sequence[int], n: int) -> ArrivalOrder:
-    order = tuple(int(e) for e in order)
+    order = tuple(map(int, order))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all element ids")
     return order
@@ -185,13 +185,13 @@ class FiniteOrderDistribution:
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > TOL:
             raise ValueError("weights must sum to 1")
+        # keep the checked tuples: their ids are plain ints, whatever the caller passed
         n = len(self.orders[0])
-        for o in self.orders:
-            check_order(o, n)
+        object.__setattr__(self, "orders", tuple(check_order(o, n) for o in self.orders))
 
     @staticmethod
     def uniform(orders: Iterable[Sequence[int]]) -> "FiniteOrderDistribution":
-        orders = tuple(tuple(o) for o in orders)
+        orders = tuple(orders)
         w = 1.0 / len(orders)
         return FiniteOrderDistribution(orders, tuple(w for _ in orders))
 
@@ -301,31 +301,96 @@ def instance_to_json_dict(instance: Instance,
     }
 
 
+def _nested(obj, depth: int) -> str:
+    """``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` lays it out
+    at nesting ``depth``. JSON escapes newlines inside strings, so every
+    newline in the text starts a line of the layout."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _list_text(items: list[str], depth: int) -> str:
+    """A JSON list of already rendered items, laid out at ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def instance_text(instance: Instance,
+                  orders: FiniteOrderDistribution | None = None) -> str:
+    """The canonical file text, ``json.dumps(instance_to_json_dict(instance,
+    orders), indent=2, sort_keys=True) + "\n"``, built in linear passes:
+    each distinct distribution's element row is rendered once and cut just
+    before its id, and each order is one join of its ids."""
+    from . import feasibility as feas
+
+    by_object: dict[int, str] = {}
+    by_repr: dict[str, str] = {}
+    rows = []
+    for i, d in enumerate(instance.dists):
+        head = by_object.get(id(d))
+        if head is None:
+            # equal atoms may render differently (1 and 1.0, 0.0 and -0.0),
+            # so rows are shared by the atoms' repr, not by equality
+            key = repr(d.atoms)
+            head = by_repr.get(key)
+            if head is None:
+                row = _nested({"dist": [[v, p] for v, p in d.atoms], "id": 0}, 2)
+                head = by_repr[key] = row[:row.rindex('"id": ') + len('"id": ')]
+            by_object[id(d)] = head
+        rows.append(head + str(i) + "\n    }")
+    order_rows = []
+    if orders is not None:
+        for o, w in zip(orders.orders, orders.weights):
+            order_rows.append('{\n      "sequence": ' + _list_text(list(map(str, o)), 3)
+                              + ',\n      "weight": ' + json.dumps(w) + "\n    }")
+    return ('{\n  "elements": ' + _list_text(rows, 1)
+            + ',\n  "feasibility": ' + _nested(feas.oracle_to_json(instance.feasibility), 1)
+            + ',\n  "metadata": ' + _nested(dict(instance.metadata), 1)
+            + ',\n  "name": ' + json.dumps(instance.name)
+            + ',\n  "orders": ' + _list_text(order_rows, 1) + "\n}\n")
+
+
 def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistribution | None]:
+    """Elements whose atoms are equal share one ``ValueDistribution``, so a
+    loaded instance pickles as small as a built one. (A ``-0.0`` atom thus
+    reads back as the ``0.0`` of an equal row before it.)"""
     from . import feasibility as feas
 
     elements = sorted(doc["elements"], key=lambda r: r["id"])
     if [r["id"] for r in elements] != list(range(len(elements))):
         raise ValueError("element ids must be dense integers from 0")
-    dists = tuple(ValueDistribution(tuple((float(v), float(p)) for v, p in r["dist"]))
-                  for r in elements)
+    interned: dict[tuple, ValueDistribution] = {}
+    dists = []
+    for r in elements:
+        # keyed on the row as parsed; equal rows are converted and checked once
+        row = tuple(map(tuple, r["dist"]))
+        d = interned.get(row)
+        if d is None:
+            d = interned[row] = ValueDistribution(
+                tuple((float(v), float(p)) for v, p in row))
+        dists.append(d)
     oracle = feas.oracle_from_json(doc["feasibility"])
-    inst = Instance(name=doc["name"], dists=dists, feasibility=oracle,
+    inst = Instance(name=doc["name"], dists=tuple(dists), feasibility=oracle,
                     metadata={str(k): str(v) for k, v in doc.get("metadata", {}).items()})
     orders = None
     if doc.get("orders"):
         orders = FiniteOrderDistribution(
-            tuple(check_order(r["sequence"], inst.n) for r in doc["orders"]),
+            tuple(r["sequence"] for r in doc["orders"]),
             tuple(float(r["weight"]) for r in doc["orders"]),
         )
+        if len(orders.orders[0]) != inst.n:
+            raise ValueError("order must be a permutation of all element ids")
     return inst, orders
 
 
 def dump_instance(instance: Instance, path,
                   orders: FiniteOrderDistribution | None = None) -> None:
+    """Write ``instance_text``; the text is complete before the file opens,
+    so an unencodable instance leaves no partial file."""
+    text = instance_text(instance, orders)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json_dict(instance, orders), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_instance(path) -> tuple[Instance, FiniteOrderDistribution | None]:

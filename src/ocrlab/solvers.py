@@ -429,7 +429,7 @@ class ExactRatioRow:
 class ExactRatioReport:
     rows: list[ExactRatioRow]
     min_ratio: float | None
-    prophet: float
+    prophet: float | None  # None when the value support is too large to enumerate
     competitive_ratio: float | None
     warnings: list[str] = field(default_factory=list)
 
@@ -437,11 +437,12 @@ class ExactRatioReport:
 def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
                 limits: SolverLimits | None = None) -> ExactRatioReport:
     """Per-order ALG/OPT ratios and their minimum (the order-competitive
-    ratio of the policy), plus the prophet-based competitive ratio."""
+    ratio of the policy), plus the prophet-based competitive ratio. When the
+    prophet's value support exceeds ``limits``, the rows still stand and the
+    prophet and competitive ratio are ``None``, with a warning."""
     limits = limits or AWARE_LIMITS
     rows: list[ExactRatioRow] = []
     notes: list[str] = []
-    prophet = prophet_exact(instance, limits).value
     for idx, order in enumerate(orders.orders):
         alg = eval_policy_exact(policy, instance, order, limits=limits)
         opt = opt_aware_exact(instance, order, limits=limits).value
@@ -453,8 +454,14 @@ def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
             rows.append(ExactRatioRow(idx, alg, opt, alg / opt))
     defined = [r.ratio for r in rows if r.ratio is not None]
     min_ratio = min(defined) if defined else None
+    try:
+        prophet = prophet_exact(instance, limits).value
+    except TooLarge as exc:
+        prophet = None
+        notes.append(f"prophet not computed: {exc}")
+        warnings.warn(notes[-1])
     competitive = None
-    if prophet > 0.0:
+    if prophet is not None and prophet > 0.0:
         competitive = min(r.alg_value for r in rows) / prophet
     return ExactRatioReport(rows=rows, min_ratio=min_ratio, prophet=prophet,
                             competitive_ratio=competitive, warnings=notes)

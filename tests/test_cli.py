@@ -8,6 +8,8 @@ import json
 import pytest
 
 from ocrlab.cli import CHECK_FAILURE, RESOURCE_ERROR, USAGE_ERROR, main
+from ocrlab.constructions import build_multiunit_instance
+from ocrlab.core import instance_to_json_dict
 
 
 def run(capsys, *argv):
@@ -60,6 +62,17 @@ class TestGen:
                            "--instance", multiunit_file, "--check")
         assert code == 0
         assert json.loads(out)["round_trip_identical"] is True
+
+    def test_file_from_the_streaming_encoder_passes_check(self, tmp_path, capsys):
+        # files written by json.dump before the row templates keep verifying
+        instance, orders = build_multiunit_instance(4)
+        path = tmp_path / "old.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(instance_to_json_dict(instance, orders), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        code, out, _ = run(capsys, "verify", "--what", "instance",
+                           "--instance", str(path), "--check")
+        assert code == 0 and json.loads(out)["round_trip_identical"] is True
 
     def test_tampered_file_fails_check(self, multiunit_file, capsys, tmp_path):
         with open(multiunit_file) as fh:

@@ -9,12 +9,15 @@ import pickle
 import numpy as np
 import pytest
 
+from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
+                                  build_pairs_instance, build_partition_instance,
+                                  build_partition_scaled, build_tree_instance)
 from ocrlab.core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, Action,
                          FiniteOrderDistribution, Instance,
                          ValueDistribution, allowed_actions, check_order,
                          dump_instance, instance_from_json_dict,
-                         instance_to_json_dict, load_instance, run_policy,
-                         sample_values, trial_rng)
+                         instance_text, instance_to_json_dict, load_instance,
+                         run_policy, sample_values, trial_rng)
 from ocrlab.errors import InconsistentState, PolicyViolation, UnknownElement
 from ocrlab.feasibility import KUniformOracle, PairMatchOracle
 from ocrlab.policies import GreedyPolicy, Policy
@@ -261,3 +264,94 @@ class TestJsonSchema:
         doc["elements"][0]["id"] = 9
         with pytest.raises(ValueError):
             instance_from_json_dict(doc)
+
+    def test_rejects_bad_orders(self):
+        inst = _pairs_instance()
+        for rows in ([{"sequence": [0, 1, 1, 2], "weight": 1.0}],  # not a permutation
+                     [{"sequence": [0, 1, 2], "weight": 1.0}],  # too short
+                     [{"sequence": [0, 1, 2, 3], "weight": 0.5},
+                      {"sequence": [3, 2, 1, 0], "weight": 0.6}],  # weights sum to 1.1
+                     [{"sequence": [0, 1, 2, 3], "weight": 1.5},
+                      {"sequence": [3, 2, 1, 0], "weight": -0.5}]):
+            doc = instance_to_json_dict(inst)
+            doc["orders"] = rows
+            with pytest.raises(ValueError):
+                instance_from_json_dict(doc)
+
+    def test_normalized_orders_round_trip_as_ints(self, tmp_path):
+        inst = Instance(name="np", dists=(ValueDistribution.deterministic(1.0),) * 8,
+                        feasibility=KUniformOracle(n=8, k=2))
+        orders = FiniteOrderDistribution.uniform([np.arange(8)])
+        assert all(type(e) is int for e in orders.orders[0])
+        path = tmp_path / "np.json"
+        dump_instance(inst, path, orders)
+        _, loaded = load_instance(path)
+        assert loaded.orders == ((0, 1, 2, 3, 4, 5, 6, 7),)
+        assert all(type(e) is int for e in loaded.orders[0])
+
+    def test_unencodable_instance_leaves_no_file(self, tmp_path):
+        inst = _pairs_instance()
+        inst.metadata["bad"] = object()
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            dump_instance(inst, path)
+        assert not path.exists()
+
+    def test_loaded_instance_shares_one_distribution_per_prior(self, tmp_path):
+        built = build_tree_instance(4)
+        path = tmp_path / "tree.json"
+        dump_instance(built, path)
+        loaded, _ = load_instance(path)
+        assert loaded.dists == built.dists
+        assert len({id(d) for d in loaded.dists}) == len(set(loaded.dists)) == 1
+        assert len(pickle.dumps(loaded)) <= len(pickle.dumps(built))
+        built, orders = build_multiunit_instance(3)
+        dump_instance(built, path, orders)
+        loaded, _ = load_instance(path)
+        assert len({id(d) for d in loaded.dists}) == len(set(loaded.dists)) == 3
+
+
+def _schema_text(instance, orders=None) -> str:
+    """The canonical text as the schema defines it."""
+    return json.dumps(instance_to_json_dict(instance, orders), indent=2, sort_keys=True) + "\n"
+
+
+# every ``ocrlab gen`` construction that builds at desk scale; ``nested``
+# needs n = 2^(2x) far beyond it, and shares its layout with nested-scaled
+GEN_BUILDS = {
+    "tree": lambda: (build_tree_instance(2), None),
+    "multiunit": lambda: build_multiunit_instance(3),
+    "nested-scaled": lambda: build_nested_scaled(2, 8, 12, u_size=3, q=0.1),
+    "partition": lambda: (build_partition_instance(2), None),
+    "partition-scaled": lambda: (build_partition_scaled(4, 4, 0.25), None),
+    "pairs": lambda: build_pairs_instance(3),
+}
+
+
+class TestInstanceText:
+    @pytest.mark.parametrize("construction", sorted(GEN_BUILDS))
+    def test_matches_the_schema_on_every_construction(self, construction):
+        inst, own = GEN_BUILDS[construction]()
+        ids = list(range(inst.n))
+        several = FiniteOrderDistribution.uniform([ids, ids[::-1], ids[1:] + ids[:1]])
+        assert several.weights[0] == 1 / 3
+        for orders in (None, own, FiniteOrderDistribution.uniform([ids]), several):
+            assert instance_text(inst, orders) == _schema_text(inst, orders)
+
+    def test_matches_the_schema_on_unusual_values(self):
+        # 1 and 1.0, 0.0 and -0.0 are equal atoms that render differently
+        dists = (ValueDistribution(((0.0, 0.25), (1.5, 0.5), (float("inf"), 0.25))),
+                 ValueDistribution(((1, 1.0),)), ValueDistribution.deterministic(1.0),
+                 ValueDistribution.deterministic(0.0), ValueDistribution.deterministic(-0.0))
+        inst = Instance(name="prïor — 名前", dists=dists, feasibility=KUniformOracle(n=5, k=2),
+                        metadata={"quote": 'say "hi"', "backslash": "a\\b",
+                                  "newline": "one\ntwo", "tab": "\t"})
+        orders = FiniteOrderDistribution.uniform([(4, 3, 2, 1, 0), (0, 1, 2, 3, 4)])
+        for o in (None, orders):
+            assert instance_text(inst, o) == _schema_text(inst, o)
+
+    def test_dump_writes_the_text(self, tmp_path):
+        inst, orders = build_multiunit_instance(3)
+        path = tmp_path / "mu.json"
+        dump_instance(inst, path, orders)
+        assert path.read_text(encoding="utf-8") == _schema_text(inst, orders)

@@ -274,6 +274,18 @@ class TestPolicyEvaluation:
         assert report.rows[0].ratio is None
         assert report.min_ratio is None and report.warnings
 
+    def test_ratio_exact_rows_stand_when_the_prophet_is_too_large(self):
+        # the k = 4 tree's 2^340 value support is beyond any prophet budget
+        tree = build_tree_instance(4)
+        order = sample_tree_order(tree, 2026, 0).order
+        with pytest.warns(UserWarning, match="prophet"):
+            report = ratio_exact(tree, FiniteOrderDistribution.uniform([order]),
+                                 greedy_policy())
+        assert report.prophet is None and report.competitive_ratio is None
+        assert report.warnings
+        alg = eval_policy_exact(greedy_policy(), tree, order)
+        assert report.min_ratio == alg / opt_aware_exact(tree, order).value
+
 
 class TestGuards:
     def test_limit_validation(self):
