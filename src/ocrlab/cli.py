@@ -138,7 +138,7 @@ def cmd_ratio(args) -> int:
     if not args.reference:
         args.reference = ["exact"]
     if args.reference == ["exact"]:
-        limits = SolverLimits(max_elements=max(20, instance.n))
+        limits = SolverLimits(max_elements=instance.n)
         references = [opt_aware_exact(instance, o, limits=limits).value
                       for o in orders.orders]
     else:
@@ -172,7 +172,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_exact(args) -> int:
     instance, orders = load_instance(args.instance)
-    limits = SolverLimits(max_elements=args.max_elements, max_states=args.max_states)
+    limits = SolverLimits(max_elements=instance.n, max_states=args.max_states)
     t0 = time.perf_counter()
     if args.mode == "aware":
         if orders is None:
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     exa.add_argument("--instance", required=True)
     exa.add_argument("--mode", choices=["aware", "unaware", "prophet"], required=True)
     exa.add_argument("--order", type=int, default=0)
-    exa.add_argument("--max-elements", dest="max_elements", type=int, default=24)
     exa.add_argument("--max-states", dest="max_states", type=int, default=2_000_000)
     exa.add_argument("--out")
     exa.set_defaults(func=cmd_exact)

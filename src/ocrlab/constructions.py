@@ -19,9 +19,9 @@ import numpy as np
 from .core import (STREAM_ORDER, ArrivalOrder, FiniteOrderDistribution, Instance,
                    ValueDistribution, trial_rng)
 from .errors import ExhaustedAttempts, TooLarge
-from .feasibility import (KUniformOracle, NestedPhaseOracle, PairMatchOracle,
-                          PartitionOneBlockOracle, TreePathOracle, tree_layout,
-                          tree_n, tree_offsets)
+from .feasibility import (NESTED_MAX_K1, KUniformOracle, NestedPhaseOracle,
+                          PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
+                          tree_layout)
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 ELEMENT_CAP_ENV = "OCRLAB_ELEMENT_CAP"
@@ -41,15 +41,19 @@ def _check_cap(n: int) -> None:
 
 # --- rooted-tree instance ----------------------------------------------------
 
+def tree_prior(k: int) -> ValueDistribution:
+    """Every tree element's value: Bernoulli(1/k) on {0, 1}."""
+    return ValueDistribution.bernoulli(1.0 / k)
+
+
 def build_tree_instance(k: int) -> Instance:
     """One element per string of length 1..k over a k-letter alphabet, all
-    values Bernoulli(1/k) on {0, 1}, feasible sets = subsets of a root-leaf
-    path."""
+    values ``tree_prior(k)``, feasible sets = subsets of a root-leaf path."""
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and at least 2")
-    n = tree_n(k)
+    n = tree_layout(k).offsets[-1]
     _check_cap(n)
-    dist = ValueDistribution.bernoulli(1.0 / k)
+    dist = tree_prior(k)
     return Instance(
         name=f"tree-k{k}",
         dists=tuple(dist for _ in range(n)),
@@ -106,54 +110,15 @@ def tree_good_layers(k: int, in_r: np.ndarray) -> list[np.ndarray]:
     return layers
 
 
-@functools.lru_cache(maxsize=None)
-def tree_arrival_positions(k: int) -> np.ndarray:
-    """Position table POS, shaped (n, k-1): element e arrives at POS[e, D],
-    where D is the layer of e's deepest good strict ancestor, capped at k-2.
-
-    A good node (the root included) emits its k children, then each child's
-    block of strict descendants, in child order. Those blocks have a size
-    fixed by the layer, so along a path of good nodes every block starts at
-    a place fixed by the path. The first bad node on the path lays its
-    block out bottom-up, deepest layer first. Below layer k-2 both layouts
-    are the same, hence the cap. Entries with D >= e's layer are -1.
-    Read-only; cached per k.
-    """
-    offs = tree_offsets(k)
-    n = offs[k]
-    pos = np.full((n, k - 1), -1, dtype=np.int16 if n < 2 ** 15 else np.int32)
-    for layer in range(1, k + 1):
-        m = np.arange(k ** layer, dtype=np.int64)
-        # child index of the layer-(i+1) ancestor under the layer-i ancestor
-        j = [(m // k ** (layer - 1 - i)) % k for i in range(layer)]
-        start = np.zeros_like(m)  # where the layer-d ancestor's block begins
-        for d in range(min(layer, k - 1)):
-            if layer == d + 1:
-                col = start + j[d]
-            else:
-                # below the bad layer-(d+1) ancestor: deepest layer first
-                col = (start + k + j[d] * offs[k - d - 1]
-                       + offs[k - d - 1] - offs[layer - d - 1]
-                       + m % k ** (layer - d - 1))
-            pos[offs[layer - 1]: offs[layer], d] = col
-            start += k + j[d] * offs[k - d - 1]
-    pos.setflags(write=False)
-    return pos
-
-
-def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrderRealization:
-    """Draw the r-subsets, expand the arrival order, and label every element
-    good or bad (good = every branching step lies in its node's r-subset).
-
-    Good subtrees arrive top-down (children first, then each child's
-    subtree); bad subtrees arrive bottom-up (deepest layer first). The two
-    deepest layers use the terminal rule: children, then each child's
-    remaining subtree bottom-up.
-    """
-    k = int(instance.metadata["k"])
-    offs, layout = tree_offsets(k), tree_layout(k)
-    in_r = _sample_tree_raw(k, seed, [trial])[0]
-
+def _expand_tree_order(k: int, r_row) -> list[int]:
+    """The arrival order of the tree whose node (layer, idx) has the
+    r-subset ``r_row(layer, idx)``, a bool row over its k children (the
+    root is (0, 0)). Good subtrees arrive top-down (children first, then
+    each child's subtree); bad subtrees arrive bottom-up (deepest layer
+    first). The two deepest layers use the terminal rule: children, then
+    each child's remaining subtree bottom-up."""
+    layout = tree_layout(k)
+    offs = layout.offsets
     order: list[int] = []
 
     def bottom_up(layer: int, idx: int) -> None:
@@ -168,7 +133,7 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
             for j in range(k):
                 bottom_up(layer + 1, idx * k + j)
             return
-        r = in_r[offs[layer - 1] + idx + 1 if layer else 0]
+        r = r_row(layer, idx)
         for j in range(k):
             if r[j]:
                 top_down(layer + 1, idx * k + j)
@@ -176,6 +141,41 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
                 bottom_up(layer + 1, idx * k + j)
 
     top_down(0, 0)
+    return order
+
+
+@functools.lru_cache(maxsize=None)
+def tree_arrival_positions(k: int) -> np.ndarray:
+    """Position table POS, shaped (n, k-1): element e arrives at POS[e, D],
+    where D is the layer of e's deepest good strict ancestor, capped at k-2.
+
+    Every subtree the expansion emits has a size fixed by its layer, so e's
+    place depends on D only. Column D is the order expanded with every node
+    down to layer D good and every node below it bad. Below layer k-2 both
+    layouts are the same, hence the cap. Entries with D >= e's layer are -1.
+    Read-only; cached per k.
+    """
+    layout = tree_layout(k)
+    n = layout.offsets[-1]
+    pos = np.empty((n, k - 1), dtype=np.int16 if n < 2 ** 15 else np.int32)
+    good, bad = [True] * k, [False] * k
+    for d in range(k - 1):
+        order = _expand_tree_order(k, lambda layer, idx: good if layer < d else bad)
+        pos[order, d] = np.arange(n)
+    pos[np.array(layout.layer)[:, None] <= np.arange(k - 1)] = -1
+    pos.setflags(write=False)
+    return pos
+
+
+def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrderRealization:
+    """Draw the r-subsets, expand the arrival order (``_expand_tree_order``),
+    and label every element good or bad (good = every branching step lies
+    in its node's r-subset)."""
+    k = int(instance.metadata["k"])
+    offs = tree_layout(k).offsets
+    in_r = _sample_tree_raw(k, seed, [trial])[0]
+    order = _expand_tree_order(
+        k, lambda layer, idx: in_r[offs[layer - 1] + idx + 1 if layer else 0])
 
     # the two deepest layers inherit their parent's label
     layers = tree_good_layers(k, in_r)
@@ -316,6 +316,9 @@ def build_nested_instance(x: int, seed: int,
     is expected to fail (the family only exists for very large n)."""
     n = 2 ** (2 * x)
     k1 = 4 * x
+    if k1 > NESTED_MAX_K1:
+        # the oracle checks this too, but only after 2**k1 U sets are drawn
+        raise TooLarge(f"A-part of {k1} elements over the cap {NESTED_MAX_K1}")
     k3 = int(math.isqrt(n))
     k2 = n - k3 - k1
     if k2 <= 0:
@@ -354,29 +357,36 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float,
 
 # --- multi-unit (capacity k) instance ----------------------------------------
 
+def multiunit_blocks(k: int) -> tuple[tuple[int, int, ValueDistribution], ...]:
+    """The (first id, stop, prior) runs: k elements worth 7/4, k worth 1,
+    and 2k worth 0 or 2 with equal odds."""
+    return ((0, k, ValueDistribution.deterministic(1.75)),
+            (k, 2 * k, ValueDistribution.deterministic(1.0)),
+            (2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (2.0, 0.5)))))
+
+
+def multiunit_orders(k: int) -> tuple[ArrivalOrder, ArrivalOrder]:
+    """(pi1, pi2): the 7/4 block first, then the unit block before (pi1) or
+    after (pi2) the random block."""
+    a, b, c = (tuple(range(first, stop)) for first, stop, _ in multiunit_blocks(k))
+    return a + b + c, a + c + b
+
+
 def build_multiunit_instance(k: int) -> tuple[Instance, FiniteOrderDistribution]:
-    """k elements worth 7/4, k worth 1, 2k worth 0 or 2 with equal odds,
-    under a capacity-k constraint; two orders differing in whether the
-    mid-value block precedes or follows the random block."""
+    """The ``multiunit_blocks`` under a capacity-k constraint, with the two
+    ``multiunit_orders`` equally likely."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = 4 * k
     _check_cap(n)
-    dists = tuple([ValueDistribution.deterministic(1.75)] * k
-                  + [ValueDistribution.deterministic(1.0)] * k
-                  + [ValueDistribution(((0.0, 0.5), (2.0, 0.5)))] * 2 * k)
-    a = tuple(range(k))
-    b = tuple(range(k, 2 * k))
-    c = tuple(range(2 * k, 4 * k))
-    pi1 = a + b + c
-    pi2 = a + c + b
+    dists = tuple(d for first, stop, d in multiunit_blocks(k) for _ in range(first, stop))
     inst = Instance(
         name=f"multiunit-k{k}",
         dists=dists,
         feasibility=KUniformOracle(n=n, k=k),
         metadata={"construction": "multiunit", "k": str(k), "n": str(n)},
     )
-    return inst, FiniteOrderDistribution.uniform([pi1, pi2])
+    return inst, FiniteOrderDistribution.uniform(multiunit_orders(k))
 
 
 # --- calibration examples -----------------------------------------------------

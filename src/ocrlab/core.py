@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -135,6 +136,9 @@ class Instance:
     def __post_init__(self):
         if len(self.dists) < 1:
             raise ValueError("instance needs at least one element")
+        if len(self.dists) != self.feasibility.n:
+            raise ValueError(f"{len(self.dists)} elements, but the feasibility "
+                             f"constraint has {self.feasibility.n}")
 
     @property
     def n(self) -> int:
@@ -165,7 +169,11 @@ ArrivalOrder = tuple[int, ...]
 
 
 def check_order(order: Sequence[int], n: int) -> ArrivalOrder:
-    order = tuple(map(int, order))
+    try:
+        # ``operator.index`` takes ints and NumPy integers, but no float
+        order = tuple(map(operator.index, order))
+    except TypeError:
+        raise ValueError("order ids must be integers") from None
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all element ids")
     return order

@@ -137,17 +137,6 @@ class KUniformOracle:
 # offset(L) = sum_{i<L} k**i; within a layer, index m encodes the string in
 # base k (characters 0-based).
 
-def tree_n(k: int) -> int:
-    return sum(k ** i for i in range(1, k + 1))
-
-
-def tree_offsets(k: int) -> list[int]:
-    offs = [0]
-    for i in range(1, k + 1):
-        offs.append(offs[-1] + k ** i)
-    return offs
-
-
 @dataclass(frozen=True)
 class TreeLayout:
     """Per element id of the k-ary tree: its layer (1-based) and its leaf
@@ -183,11 +172,12 @@ class TreeLayout:
 @functools.lru_cache(maxsize=None)
 def tree_layout(k: int) -> TreeLayout:
     width = tuple(k ** (k - d) for d in range(1, k + 1))
-    layer, span = [], []
+    offsets, layer, span = [0], [], []
     for d, w in enumerate(width, 1):
         layer += [d] * k ** d
         span += [(m * w, m * w + w) for m in range(k ** d)]
-    return TreeLayout(k, tuple(tree_offsets(k)), width, tuple(layer), tuple(span))
+        offsets.append(len(layer))
+    return TreeLayout(k, tuple(offsets), width, tuple(layer), tuple(span))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
-                   FiniteOrderDistribution, Instance, Trace, ValueDistribution,
-                   check_order, run_policy, sample_values, trial_rng)
-from .constructions import (_sample_tree_raw, sample_tree_order, tree_arrival_positions,
-                            tree_good_layers)
-from .feasibility import KUniformOracle, TreePathOracle, tree_layout, tree_n, tree_offsets
+                   FiniteOrderDistribution, Instance, Trace, check_order, run_policy,
+                   sample_values, trial_rng)
+from .constructions import (_sample_tree_raw, multiunit_blocks, multiunit_orders,
+                            sample_tree_order, tree_arrival_positions, tree_good_layers,
+                            tree_prior)
+from .feasibility import KUniformOracle, TreePathOracle, tree_layout
 from .policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                        MultiunitThresholdPolicy, Policy, TreeAwarePolicy,
                        TreeGamblePolicy)
@@ -140,23 +141,11 @@ def _generic_chunk(instance, policies, source, seed, start, count) -> np.ndarray
 # fast path: multi-unit threshold policies on a canonical order ---------------------
 
 
-def _multiunit_order_tag(instance: Instance, order: ArrivalOrder) -> str | None:
-    k = int(instance.metadata["k"])
-    a = tuple(range(k))
-    b = tuple(range(k, 2 * k))
-    c = tuple(range(2 * k, 4 * k))
-    if order == a + b + c:
-        return "pi1"
-    if order == a + c + b:
-        return "pi2"
-    return None
-
-
 def _multiunit_totals_from_x(policy: MultiunitThresholdPolicy, k: int,
                              x: np.ndarray, tag: str) -> np.ndarray:
     """Closed form of the threshold policy's value as a function of the
     number of value-2 elements; mirrors the step-by-step policy exactly."""
-    m = math.floor(policy.d * math.sqrt(k / 2))
+    m = policy.threshold_count(k)
     s = np.minimum(k - m, x)
     base = 1.75 * m
     if policy.variant == "pi1":
@@ -214,15 +203,13 @@ def _multiunit_fast_tag(instance, policies, source) -> str | None:
     k = int(instance.metadata["k"])
     oracle = instance.feasibility
     if not (type(oracle) is KUniformOracle and (oracle.n, oracle.k) == (4 * k, k)
-            and _has_value_groups(instance, (
-                (0, k, ValueDistribution.deterministic(1.75)),
-                (k, 2 * k, ValueDistribution.deterministic(1.0)),
-                (2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (2.0, 0.5))))))
+            and _has_value_groups(instance, multiunit_blocks(k))
             and isinstance(source, FixedOrder)
             and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)
-            and all(math.floor(p.d * math.sqrt(k / 2)) <= k for p in policies)):
+            and all(p.threshold_count(k) <= k for p in policies)):
         return None
-    return _multiunit_order_tag(instance, source.order)
+    pi1, pi2 = multiunit_orders(k)
+    return "pi1" if source.order == pi1 else "pi2" if source.order == pi2 else None
 
 
 # fast path: tree policies under the recursive order distribution -------------------
@@ -270,7 +257,7 @@ def _tree_aware_total(k: int, in_r: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Per trial of a block: at each layer, the first candidate child of the
     tip worth 1, else the last candidate; candidates are the tip's r-subset
     down to layer k-2 and all its children below."""
-    offs = tree_offsets(k)
+    offs = tree_layout(k).offsets
     rows = np.arange(len(v1))
     kids = np.arange(k)
     tip = np.zeros(len(v1), dtype=np.intp)
@@ -357,7 +344,7 @@ def _tree_arrivals(k: int, in_r: np.ndarray, v1: np.ndarray):
     POS[e, D], D being the layer of its deepest good strict ancestor (capped
     at k-2), which follows layer by layer from the good labels."""
     tables = _tree_tables(k)
-    offs = tree_offsets(k)
+    offs = tree_layout(k).offsets
     good = tree_good_layers(k, in_r)
     key = np.empty(v1.shape, dtype=tables.poskey.dtype)
     depth = np.zeros((len(v1), 1), dtype=np.int8)
@@ -418,8 +405,7 @@ def _tree_fast_ok(instance, policies, source) -> bool:
     k = int(instance.metadata["k"])
     oracle = instance.feasibility
     return (type(oracle) is TreePathOracle and oracle.k == k
-            and _has_value_groups(instance,
-                                  ((0, tree_n(k), ValueDistribution.bernoulli(1.0 / k)),))
+            and _has_value_groups(instance, ((0, oracle.n, tree_prior(k)),))
             and isinstance(source, TreeOrders)
             and all(isinstance(p, (TreeAwarePolicy, TreeGamblePolicy, GreedyPolicy,
                                    AlwaysDiscardPolicy)) for p in policies))

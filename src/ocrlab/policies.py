@@ -274,7 +274,7 @@ PI1, PI2, UNAWARE_COMMIT = "pi1", "pi2", "unaware"
 
 
 class MultiunitThresholdPolicy(Policy):
-    """Selects floor(d*sqrt(k/2)) of the 7/4-valued elements, then rations
+    """Selects ``threshold_count(k)`` of the 7/4-valued elements, then rations
     the remaining capacity between value-2 elements and the unit-valued
     block according to the variant. The state is (7/4-valued elements
     taken, random-block elements seen). Under the k-uniform oracle that
@@ -297,11 +297,16 @@ class MultiunitThresholdPolicy(Policy):
         oracle = instance.feasibility
         if not (isinstance(oracle, KUniformOracle) and oracle.k == self._k):
             raise ValueError(f"{self.name} needs a k-uniform oracle with k={self._k}")
-        self._m = math.floor(self.d * math.sqrt(self._k / 2))
+        self._m = self.threshold_count(self._k)
         if self._m > self._k:
             raise BadThreshold(
                 f"d={self.d} asks for {self._m} > k={self._k} threshold selections")
         return 0, 0
+
+    def threshold_count(self, k: int) -> int:
+        """floor(d*sqrt(k/2)): how many 7/4-valued elements to select at
+        capacity k."""
+        return math.floor(self.d * math.sqrt(k / 2))
 
     def decide(self, pstate, e, v):
         a_taken, c_seen = pstate

@@ -51,6 +51,16 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["n"] == 340
 
+    def test_partition_summary(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "gen", "--construction", "partition", "--kappa", "2",
+                           "--seed", "0", "--out", str(tmp_path / "part.json"))
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["n"] == 16 and summary["orders"] == 0
+        assert summary["metadata"]["blocks"] == "4" and summary["metadata"]["p"] == "0.25"
+        # four blocks of four: 4 * 2**4 subsets, the empty set counted once
+        assert summary["family_size"] == 61
+
     def test_small_instance_reports_family_size(self, pairs_file, capsys):
         code, out, _ = run(capsys, "gen", "--construction", "pairs", "--k", "2",
                            "--seed", "0", "--out", pairs_file)
@@ -155,6 +165,27 @@ class TestExact:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(91.0 / 216.0)
 
+    def test_multiunit_unaware_value(self, multiunit_file, capsys):
+        code, out, _ = run(capsys, "exact", "--instance", multiunit_file,
+                           "--mode", "unaware")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"instance": "multiunit-k4", "mode": "unaware", "order": None}
+        assert doc["value"] == 7.474609375 and doc["states_expanded"] == 125
+
+    def test_aware_is_bounded_by_the_state_budget_only(self, tmp_path, capsys):
+        # 400 elements: no element cap applies, the solve meets 35,350 states
+        path = str(tmp_path / "mu100.json")
+        assert run(capsys, "gen", "--construction", "multiunit", "--k", "100",
+                   "--seed", "0", "--out", path)[0] == 0
+        code, out, _ = run(capsys, "exact", "--instance", path, "--mode", "aware")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] == 197.09357338198546 and doc["states_expanded"] == 35350
+        code, out, err = run(capsys, "exact", "--instance", path, "--mode", "aware",
+                             "--max-states", "35349")
+        assert code == RESOURCE_ERROR and out == "" and "35349" in err
+
     def test_unaware_needs_orders(self, tmp_path, capsys):
         path = tmp_path / "part.json"
         run(capsys, "gen", "--construction", "partition-scaled", "--blocks", "2",
@@ -211,6 +242,26 @@ class TestExitCodes:
                              "--trials", "100", "--seed", "0")
         assert code == RESOURCE_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "2000000" in err
+
+    def test_usage_error_on_a_truncated_instance_file(self, tmp_path, capsys):
+        src = tmp_path / "t.json"
+        assert run(capsys, "gen", "--construction", "tree", "--k", "2",
+                   "--seed", "0", "--out", str(src))[0] == 0
+        doc = json.loads(src.read_text())
+        doc["elements"] = doc["elements"][:4]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--instance", str(cut), "--policy", "greedy",
+                             "--order", "0", "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == "" and "4 elements" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_resource_error_on_nested_x6_before_the_family_draw(self, tmp_path, capsys):
+        # 2**24 U sets would be drawn before the oracle's A-part cap
+        code, out, err = run(capsys, "gen", "--construction", "nested", "--x", "6",
+                             "--seed", "0", "--out", str(tmp_path / "n.json"))
+        assert code == RESOURCE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "24" in err
 
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",

@@ -4,6 +4,7 @@ and multi-unit layouts, and size guards."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ocrlab.constructions import (ELEMENT_CAP_ENV, UFamily, build_multiunit_inst
                                   build_u_family, sample_tree_order,
                                   tree_arrival_positions, verify_u_family)
 from ocrlab.errors import ExhaustedAttempts, TooLarge
-from ocrlab.feasibility import tree_offsets
+from ocrlab.feasibility import tree_layout
 from ocrlab.policies import decode_nested_index
 
 
@@ -72,7 +73,7 @@ class TestTreeInstance:
     def test_k4_good_subtrees_top_down_bad_bottom_up(self):
         inst = build_tree_instance(4)
         oracle = inst.feasibility
-        offs = tree_offsets(4)
+        offs = tree_layout(4).offsets
         real = sample_tree_order(inst, seed=5, trial=7)
         pos = {e: i for i, e in enumerate(real.order)}
 
@@ -99,7 +100,7 @@ class TestTreeInstance:
         # POS[e, D] with D = layer of e's deepest good strict ancestor (at
         # most k-2) must be e's place in the recursively expanded order
         inst = build_tree_instance(k)
-        offs = tree_offsets(k)
+        offs = tree_layout(k).offsets
         pos = tree_arrival_positions(k)
         assert pos.shape == (inst.n, k - 1)
         for trial in range(trials):
@@ -183,6 +184,13 @@ class TestNestedBuilders:
     def test_full_construction_too_small(self):
         with pytest.raises(TooLarge):
             build_nested_instance(1, seed=0)
+
+    def test_full_construction_checks_the_a_part_cap_first(self):
+        # x = 6 means k1 = 24 > NESTED_MAX_K1: refused before 2**24 U sets are drawn
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="A-part of 24 elements"):
+            build_nested_instance(6, seed=0)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestMultiunit:

@@ -113,6 +113,17 @@ class TestOrders:
             check_order((0, 1), 3)
         assert check_order([2, 0, 1], 3) == (2, 0, 1)
 
+    def test_check_order_rejects_non_integer_ids(self):
+        # a float id would be truncated onto another element by int()
+        for order in ([0.5, 1, 2.9], [0.0, 1, 2], np.array([0.0, 1.0, 2.0]), ["0", 1, 2]):
+            with pytest.raises(ValueError, match="integers"):
+                check_order(order, 3)
+
+    def test_check_order_accepts_numpy_integers(self):
+        for dtype in (np.int8, np.int32, np.int64, np.uint16):
+            order = check_order(np.array([2, 0, 1], dtype=dtype), 3)
+            assert order == (2, 0, 1) and all(type(e) is int for e in order)
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             FiniteOrderDistribution(((0, 1),), (0.5,))  # weights must sum to 1
@@ -258,6 +269,26 @@ class TestJsonSchema:
         assert orders is None
         assert again.metadata == {"construction": "pairs"}
         assert again.dists == inst.dists
+
+    def test_rejects_float_order_ids(self):
+        doc = instance_to_json_dict(_pairs_instance())
+        doc["orders"] = [{"sequence": [0.0, 1.9, 2, 3], "weight": 1.0}]
+        with pytest.raises(ValueError, match="integers"):
+            instance_from_json_dict(doc)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_rejects_element_count_other_than_the_oracles(self, n):
+        # a tree k = 2 file (6 elements) cut to 4 or padded to 8 elements
+        doc = instance_to_json_dict(build_tree_instance(2))
+        doc["elements"] = [{"id": i, "dist": [[1.0, 0.5], [0.0, 0.5]]} for i in range(n)]
+        with pytest.raises(ValueError, match=f"{n} elements, but the feasibility "
+                                             "constraint has 6"):
+            instance_from_json_dict(doc)
+
+    def test_instance_checks_the_oracle_size(self):
+        dists = (ValueDistribution.deterministic(1.0),) * 3
+        with pytest.raises(ValueError, match="has 4"):
+            Instance(name="short", dists=dists, feasibility=KUniformOracle(n=4, k=1))
 
     def test_rejects_sparse_ids(self):
         doc = instance_to_json_dict(_pairs_instance())

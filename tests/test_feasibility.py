@@ -16,7 +16,7 @@ from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle,
                                 NestedPhaseOracle, PairMatchOracle,
                                 PartitionOneBlockOracle, TreePathOracle,
                                 is_downward_closed, materialize, oracle_from_json,
-                                oracle_to_json, tree_n, tree_offsets)
+                                oracle_to_json, tree_layout)
 
 
 def brute_can_extend(family, n, sel, dis, pin):
@@ -95,9 +95,9 @@ def test_state_walk_matches_brute_force(oracle):
 
 class TestTreeLayout:
     def test_counts(self):
-        assert tree_n(2) == 6
-        assert tree_n(4) == 340
-        assert tree_offsets(2) == [0, 2, 6]
+        assert tree_layout(2).offsets[-1] == 6
+        assert tree_layout(4).offsets[-1] == 340
+        assert tree_layout(2).offsets == (0, 2, 6)
 
     def test_strings_and_parents_k2(self):
         oracle = TreePathOracle(k=2)
@@ -120,7 +120,7 @@ class TestTreeLayout:
     def test_layout_matches_digit_strings_k4(self):
         k = 4
         oracle = TreePathOracle(k=k)
-        offs = tree_offsets(k)
+        offs = tree_layout(k).offsets
         # every id's base-k digits, from its layer and index within the layer
         digits = {}
         for layer in range(1, k + 1):

@@ -159,6 +159,18 @@ class TestFastPaths:
             slow = simulate(policy, edited, source, trials=400, seed=1, fast=False)
             assert fast.mean == slow.mean
 
+    def test_non_canonical_multiunit_order_takes_the_generic_engine(self):
+        # the closed form holds on the construction's two orders only
+        inst, orders = build_multiunit_instance(4)
+        policies = [multiunit_threshold_policy(0.913, v) for v in ("pi1", "pi2", "unaware")]
+        source = FixedOrder(orders.orders[0][::-1])
+        assert _pick_engine(inst, policies, source, True) == ("generic", None)
+        fast = simulate_many(policies, inst, source, trials=300, seed=2)
+        slow = simulate_many(policies, inst, source, trials=300, seed=2, fast=False)
+        assert [r.mean for r in fast] == [r.mean for r in slow]
+        for tag, order in zip(("pi1", "pi2"), orders.orders):
+            assert _pick_engine(inst, policies, FixedOrder(order), True) == ("multiunit", tag)
+
 
 class TestTraces:
     def test_collect_traces_is_capped(self):

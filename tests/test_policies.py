@@ -15,7 +15,7 @@ from ocrlab.constructions import build_multiunit_instance, build_nested_scaled, 
 from ocrlab.core import (STREAM_POLICY, Instance, ValueDistribution, run_policy,
                          sample_values, trial_rng)
 from ocrlab.errors import BadThreshold, DecodeFailure, MissingLabels
-from ocrlab.feasibility import KUniformOracle, NestedPhaseOracle
+from ocrlab.feasibility import KUniformOracle, NestedPhaseOracle, PairMatchOracle
 from ocrlab.montecarlo import CHUNK_SIZE, TREE_BLOCK_CELLS, FixedOrder, TreeOrders, \
     simulate_many
 from ocrlab.policies import (Knowledge, MultiunitThresholdPolicy, always_discard_policy,
@@ -152,7 +152,7 @@ class TestMultiunitThreshold:
         inst, orders = build_multiunit_instance(3)
         policy = multiunit_threshold_policy(0.913, "unaware")
         policy.start(inst, Knowledge.unaware())
-        for oracle in (KUniformOracle(n=12, k=2), build_tree_instance(2).feasibility):
+        for oracle in (KUniformOracle(n=12, k=2), PairMatchOracle(k=6)):
             bad = dataclasses.replace(inst, feasibility=oracle)
             with pytest.raises(ValueError, match="k-uniform"):
                 policy.start(bad, Knowledge.unaware())

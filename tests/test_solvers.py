@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_micro_instance
+from test_feasibility import nested_demo, nested_overlapping
 from ocrlab.core import (FiniteOrderDistribution, Instance, ValueDistribution,
                          run_policy)
 from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
@@ -185,7 +186,10 @@ class TestProphet:
         rng = np.random.default_rng(29)
         oracles = [KUniformOracle(n=6, k=2),
                    build_pairs_instance(3)[0].feasibility,
-                   build_partition_scaled(blocks=2, block_size=3, p=0.5).feasibility]
+                   build_partition_scaled(blocks=2, block_size=3, p=0.5).feasibility,
+                   TreePathOracle(k=2), nested_demo(), nested_overlapping(),
+                   ExplicitFamilyOracle(n=5, sets=(frozenset(), frozenset({0, 3}),
+                                                   frozenset({1, 2, 4}), frozenset({4})))]
         for oracle in oracles:
             family = materialize(oracle)
             for _ in range(20):
