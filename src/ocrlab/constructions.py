@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (STREAM_ORDER, ArrivalOrder, FiniteOrderDistribution, Instance,
-                   ValueDistribution, trial_rng)
+                   ValueDistribution, cell_draws, trial_rng)
 from .errors import ExhaustedAttempts, TooLarge
 from .feasibility import (NESTED_MAX_K1, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
@@ -84,9 +84,11 @@ def _sample_tree_raw(k: int, seed: int, trials: Sequence[int]) -> np.ndarray:
     """The random part of the order draw for each of ``trials``: entry
     [t, i] marks the size-k/2 subset r of the node in row i (see
     ``tree_r_node_count``), as a bool row over its k children."""
-    u = np.empty((len(trials), tree_r_node_count(k), k))
-    for row, trial in zip(u, trials):
-        trial_rng(seed, trial, STREAM_ORDER).random(out=row)
+    nodes = tree_r_node_count(k)
+    u = np.empty((len(trials), nodes * k))
+    for _ in cell_draws(seed, trials, STREAM_ORDER, u):
+        pass  # each trial's uniforms land in its row of u
+    u = u.reshape(len(trials), nodes, k)
     # one uniform row per node; the first k/2 of its argsort form a uniform
     # subset, and a child's rank in that argsort tells whether it is in it
     first = np.argsort(u, axis=-1)

@@ -13,7 +13,7 @@ import functools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +53,8 @@ def _cell_key_type() -> type:
     return ISeedSequence.register(_CellKey)
 
 
-def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.Generator:
-    """Counter-based generator for one (seed, trial, stream) cell."""
+def _cell_key(seed: int, trial: int, stream: int) -> tuple[int, int]:
+    """The Philox key of one (seed, trial, stream) cell."""
     seed, trial, stream = int(seed), int(trial), int(stream)
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial index must be nonnegative")
@@ -64,8 +64,48 @@ def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.G
         raise ValueError("seed must be below 2**64 and trial index below 2**62")
     if not 0 <= stream < 4:
         raise ValueError("stream tag must lie in 0..3")
-    key = _cell_key_type()((seed, trial << 2 | stream))
+    return seed, trial << 2 | stream
+
+
+def trial_rng(seed: int, trial: int, stream: int = STREAM_VALUES) -> np.random.Generator:
+    """Counter-based generator for one (seed, trial, stream) cell."""
+    key = _cell_key_type()(_cell_key(seed, trial, stream))
     return np.random.Generator(np.random.Philox(key))
+
+
+def cell_draws(seed: int, trials: Iterable[int], stream: int,
+               rows: Iterable[np.ndarray], start: int = 0) -> Iterator[np.ndarray]:
+    """Fills the next of ``rows`` with draws ``start``, ``start + 1``, ...
+    of each trial's cell and yields it, trial by trial. A float64 row gets
+    the uniforms ``trial_rng(seed, trial, stream).random(start + len(row))``
+    from ``start`` on, a uint64 row the raw words that ``random_raw`` gives
+    there (uniform i is word i >> 11 times 2**-53), bit for bit. Passing
+    one row again and again draws a long cell without holding a block.
+
+    One Philox serves every cell: a Philox stream is its key and counter
+    alone, so each cell only assigns its key to the state (plain Python
+    values, the cheapest form the setter reads). Philox makes 4 words a
+    counter step, so ``start`` sets the counter to ``start // 4`` and the
+    first ``start % 4`` words are dropped."""
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    skip, lead = divmod(start, 4)
+    bits = np.random.Philox(_cell_key_type()((0, 0)))  # keyed per cell below
+    draw = np.random.Generator(bits).random
+    cell = {"counter": (skip, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": cell, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for trial, row in zip(trials, rows):
+        cell["key"] = _cell_key(seed, trial, stream)
+        bits.state = state
+        if lead:
+            bits.random_raw(lead, output=False)
+        if row.dtype == np.uint64:
+            # converting a word to a uniform costs more than drawing it
+            row[:] = bits.random_raw(len(row))
+        else:
+            draw(out=row)
+        yield row
 
 
 class Action(enum.Enum):

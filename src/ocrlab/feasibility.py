@@ -343,21 +343,28 @@ class NestedPhaseOracle(_FamilyState):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_u_sorted", u_sorted)
         # member (i, j) = V_i | {b_j} | f_i(j) is bit i*k2 + j, so row i of
-        # the members is the k2-bit block at i*k2
-        row = (1 << k2) - 1
-        first_of_rows = sum(1 << (i * k2) for i in range(len(u_sorted)))
-        # f_i(j) holds the t-th element of U_i exactly for the j with bit t set
-        pattern = [sum(1 << j for j in range(k2) if j >> t & 1)
-                   for t in range(max(map(len, u_sorted)))]
+        # the members is the k2-bit block at i*k2. Each element's mask is
+        # spelled in binary, highest row first, and parsed once: parsing is
+        # linear, where OR-ing row by row into a growing int is quadratic
+        rows = len(u_sorted)
+        zeros = "0" * k2
         inc = [0] * n
+        first_of_rows = _from_bits(("0" * (k2 - 1) + "1") * rows)
         for j, b in enumerate(self.b_ids):
             inc[b] = first_of_rows << j
+        for t, a in enumerate(self.a_ids):
+            # the rows i with bit t set come in runs of 2**t
+            run = 2 ** t
+            inc[a] = _from_bits(("1" * k2 * run + zeros * run) * (rows // (2 * run)))
+        # f_i(j) holds the t-th element of U_i exactly for the j with bit t set
+        pattern = ["".join("01"[j >> t & 1] for j in reversed(range(k2)))
+                   for t in range(max(map(len, u_sorted)))]
+        spelled = {c: [zeros] * rows for c in self.c_ids}
         for i, u in enumerate(u_sorted):
-            for t, a in enumerate(self.a_ids):
-                if i >> t & 1:
-                    inc[a] |= row << (i * k2)
             for t, c in enumerate(u):
-                inc[c] |= pattern[t] << (i * k2)
+                spelled[c][rows - 1 - i] = pattern[t]
+        for c, row_bits in spelled.items():
+            inc[c] = _from_bits("".join(row_bits))
         object.__setattr__(self, "_all", (1 << (len(u_sorted) * k2)) - 1)
         object.__setattr__(self, "_inc", tuple(inc))
 
@@ -382,6 +389,12 @@ class NestedPhaseOracle(_FamilyState):
             return False
         sc = s - set(self.a_ids) - set(self.b_ids)
         return sc == self.completion(i, bs[0])
+
+
+def _from_bits(text: str) -> int:
+    """The int spelled by a binary string, most significant bit first;
+    ``int(text, 2)`` takes time linear in its length."""
+    return int(text, 2) if text else 0
 
 
 def is_downward_closed(oracle) -> bool:

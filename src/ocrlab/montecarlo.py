@@ -10,6 +10,7 @@ replicate the generic semantics exactly (cross-validated in tests).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
-                   FiniteOrderDistribution, Instance, Trace, check_order, run_policy,
-                   sample_values, trial_rng)
+                   FiniteOrderDistribution, Instance, Trace, cell_draws, check_order,
+                   run_policy, sample_values, trial_rng)
 from .constructions import (_sample_tree_raw, multiunit_blocks, multiunit_orders,
                             sample_tree_order, tree_arrival_positions, tree_good_layers,
                             tree_prior)
@@ -88,10 +89,18 @@ class TreeOrders:
     pool: int | None = None
     fixed: int | None = None
 
+    def __post_init__(self):
+        if self.pool is not None and self.fixed is not None:
+            raise ValueError("set pool or fixed, not both")
+        if self.pool is not None and self.pool < 1:
+            raise ValueError("pool must be at least 1")
+        if self.fixed is not None and self.fixed < 0:
+            raise ValueError("fixed realization index must be nonnegative")
+
     def order_trial(self, trial: int) -> int:
         if self.fixed is not None:
             return self.fixed
-        return trial % self.pool if self.pool else trial
+        return trial if self.pool is None else trial % self.pool
 
     def realize(self, instance, seed, trial):
         real = sample_tree_order(instance, seed, self.order_trial(trial))
@@ -165,15 +174,12 @@ def _random_block_twos(k: int, seed: int, start: int, count: int) -> np.ndarray:
     """Per trial, how many of the 2k random-block elements draw value 2: of
     the value stream's words 2k..4k-1, those with the top bit set, as
     ``random`` maps word w to (w >> 11) * 2**-53 and value 2 is u >= 0.5.
-    ``advance`` skips 4 words per Philox step; ``lead`` more are dropped."""
-    skip, lead = divmod(2 * k, 4)
-    x = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        bits = trial_rng(seed, start + i, STREAM_VALUES).bit_generator
-        bits.advance(skip)
-        w = bits.random_raw(2 * k + lead)[lead:]
-        x[i] = np.count_nonzero(w.view(np.int64) < 0)
-    return x
+    Trials are drawn into one row in turn, so no (count, 2k) block is held."""
+    row = np.empty(2 * k, dtype=np.uint64)
+    cells = cell_draws(seed, range(start, start + count), STREAM_VALUES,
+                       itertools.repeat(row), 2 * k)
+    return np.fromiter((np.count_nonzero(w.view(np.int64) < 0) for w in cells),
+                       dtype=np.int64, count=count)
 
 
 def _multiunit_chunk(instance, policies, tag, seed, start, count) -> np.ndarray:
@@ -387,8 +393,8 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
         if new:
             drawn.update(zip(new, _sample_tree_raw(k, seed, new)))
         in_r = np.stack([drawn[t] for t in wanted])
-        for row, trial in zip(u, trials):
-            trial_rng(seed, trial, STREAM_VALUES).random(n, out=row)
+        for _ in cell_draws(seed, trials, STREAM_VALUES, u):
+            pass  # each trial's uniforms land in its row of u
         v1 = u[:size] < p_one
         cols = slice(first, first + size)
         if aware:

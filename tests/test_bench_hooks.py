@@ -44,7 +44,8 @@ def test_hooks_install_run_one_generic_trial_and_uninstall():
 
 
 def test_hooks_see_the_multiunit_fast_path():
-    # the fast path reaches the bit generator through the traced Generator
+    # the fast path draws its values with ``core.cell_draws``, which
+    # re-keys one Philox per chunk and builds no ``trial_rng`` generator
     tracing = _tracing()
     instance, orders = build_multiunit_instance(5)
     policies = [multiunit_threshold_policy(0.913, v) for v in ("pi1", "pi2", "unaware")]
@@ -60,17 +61,18 @@ def test_hooks_see_the_multiunit_fast_path():
     assert [r.mean for r in traced] == [r.mean for r in plain]
     totals = tracer.layer_totals()
     assert totals["montecarlo.chunk.fast"]["calls"] == 2
-    assert totals["core.trial_rng"]["calls"] == trials
+    assert "core.trial_rng" not in totals
+    assert tracer.value_uniforms == 0
 
 
 def test_hooks_see_the_batched_tree_path():
-    # one order and one value generator per trial, drawn through the traced
-    # module functions; a pool draws each distinct order trial once per chunk
+    # the order and value draws go through ``core.cell_draws``, which
+    # builds no ``trial_rng`` generator
     tracing = _tracing()
     instance = build_tree_instance(2)
     policies = [tree_aware_policy(), tree_gamble_policy(0), greedy_policy()]
     trials = CHUNK_SIZE + 10
-    for source, order_calls in ((TreeOrders(), trials), (TreeOrders(pool=3), 2 * 3)):
+    for source in (TreeOrders(), TreeOrders(pool=3)):
         plain = simulate_many(policies, instance, source, trials=trials, seed=4)
         tracer = tracing.Tracer()
         saved = tracing.install(tracer)
@@ -81,13 +83,13 @@ def test_hooks_see_the_batched_tree_path():
         assert [r.mean for r in traced] == [r.mean for r in plain]
         totals = tracer.layer_totals()
         assert totals["montecarlo.chunk.fast"]["calls"] == 2
-        assert totals["core.trial_rng"]["calls"] == trials + order_calls
-        assert tracer.value_uniforms == trials * instance.n
+        assert "core.trial_rng" not in totals
+        assert tracer.value_uniforms == 0
 
 
 def test_generic_tree_run_draws_no_unused_policy_streams():
     # the 7 criterion 3 policies never draw, so a generic trial builds only
-    # its order and value generators
+    # its value generator (its order is drawn by ``core.cell_draws``)
     tracing = _tracing()
     instance = build_tree_instance(2)
     policies = ([tree_aware_policy(), greedy_policy()]
@@ -104,4 +106,4 @@ def test_generic_tree_run_draws_no_unused_policy_streams():
     assert [r.mean for r in traced] == [r.mean for r in plain]
     totals = tracer.layer_totals()
     assert totals["montecarlo.chunk.generic"]["calls"] == 1
-    assert totals["core.trial_rng"]["calls"] == 2 * trials
+    assert totals["core.trial_rng"]["calls"] == trials

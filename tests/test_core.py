@@ -3,8 +3,13 @@ and the instance JSON schema."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
                                   build_pairs_instance, build_partition_instance,
                                   build_partition_scaled, build_tree_instance)
 from ocrlab.core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, Action,
-                         FiniteOrderDistribution, Instance,
+                         FiniteOrderDistribution, Instance, cell_draws,
                          ValueDistribution, allowed_actions, check_order,
                          dump_instance, instance_from_json_dict,
                          instance_text, instance_to_json_dict, load_instance,
@@ -76,9 +81,68 @@ class TestTrialRng:
         np.testing.assert_array_equal(clone.random(8), a.random(8))
 
     def test_generators_cannot_spawn(self):
-        # children would be seeded from OS entropy, which breaks reproducibility
-        with pytest.raises(TypeError):
+        # children would be seeded from OS entropy, which breaks
+        # reproducibility; NumPy before 1.25 has no ``spawn`` at all
+        with pytest.raises((TypeError, AttributeError)):
             trial_rng(3, 4, 0).spawn(1)
+
+
+class TestCellDraws:
+    @staticmethod
+    def _expected(seed, trials, stream, start, width, dtype):
+        def cell(t):
+            rng = trial_rng(seed, t, stream)
+            if dtype == np.uint64:
+                return rng.bit_generator.random_raw(start + width)[start:]
+            return rng.random(start + width)[start:]
+        return np.array([cell(t) for t in trials], dtype=dtype).reshape(len(trials), width)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    @pytest.mark.parametrize("start", range(8))
+    def test_rows_equal_the_cell_generator_from_any_start(self, start, dtype):
+        # start % 4 leading words of the counter step are dropped
+        trials = [0, 1, 5, 12345, 3]
+        for stream in range(4):
+            for width in (0, 1, 6, 37):
+                rows = np.zeros((len(trials), width), dtype=dtype)
+                assert len(list(cell_draws(9, trials, stream, rows, start))) == len(trials)
+                np.testing.assert_array_equal(
+                    rows, self._expected(9, trials, stream, start, width, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    def test_keys_at_the_edges(self, dtype):
+        top = 2 ** 64 - 1
+        trials = [2 ** 62 - 1, np.int64(2 ** 62 - 1), 0, 2 ** 62 - 2]
+        for stream in range(4):
+            rows = np.empty((len(trials), 16), dtype=dtype)
+            list(cell_draws(top, trials, stream, rows, 3))
+            np.testing.assert_array_equal(
+                rows, self._expected(top, trials, stream, 3, 16, dtype))
+
+    def test_an_empty_trial_list_draws_nothing(self):
+        rows = np.full((2, 4), -1.0)
+        assert list(cell_draws(1, [], STREAM_VALUES, rows)) == []
+        assert (rows == -1.0).all()
+
+    def test_one_row_passed_again_is_redrawn_per_trial(self):
+        row = np.empty(10, dtype=np.uint64)
+        got = [r.copy() for r in cell_draws(4, range(6), STREAM_ORDER,
+                                            itertools.repeat(row), 6)]
+        np.testing.assert_array_equal(
+            got, self._expected(4, range(6), STREAM_ORDER, 6, 10, np.uint64))
+
+    @pytest.mark.parametrize("seed, trial, stream", [
+        (-1, 0, 0), (2 ** 64, 0, 0), (0, -1, 0), (0, 2 ** 62, 0), (0, 0, -1), (0, 0, 4)])
+    def test_rejects_the_keys_trial_rng_rejects(self, seed, trial, stream):
+        with pytest.raises(ValueError) as cell:
+            trial_rng(seed, trial, stream)
+        with pytest.raises(ValueError) as block:
+            list(cell_draws(seed, [trial], stream, np.empty((1, 4))))
+        assert str(block.value) == str(cell.value)
+
+    def test_rejects_a_negative_start(self):
+        with pytest.raises(ValueError):
+            list(cell_draws(0, [0], 0, np.empty((1, 4)), -1))
 
 
 class TestValueDistribution:
@@ -386,3 +450,19 @@ class TestInstanceText:
         path = tmp_path / "mu.json"
         dump_instance(inst, path, orders)
         assert path.read_text(encoding="utf-8") == _schema_text(inst, orders)
+
+
+def test_an_exact_solve_does_not_import_numpy_random():
+    # numpy.random costs ~6 MB of memory, which a program that draws nothing
+    # need not pay; the RNG helpers import it on first use
+    code = ("import sys\n"
+            "from ocrlab.constructions import build_multiunit_instance\n"
+            "from ocrlab.montecarlo import simulate\n"
+            "from ocrlab.solvers import opt_aware_exact, opt_unaware_exact\n"
+            "inst, orders = build_multiunit_instance(2)\n"
+            "opt_aware_exact(inst, orders.orders[0])\n"
+            "opt_unaware_exact(inst, orders)\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

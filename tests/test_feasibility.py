@@ -165,6 +165,43 @@ class TestNestedPhase:
             NestedPhaseOracle(a_ids=(0,), b_ids=(1, 2, 3), c_ids=(4, 5),
                               u_sets=(frozenset({4}), frozenset({5})))
 
+    @staticmethod
+    def _inc_by_loop(oracle):
+        """The member bitmasks as one OR per (U set, A bit) and per
+        (U set, C element): the reference the spelled masks must equal."""
+        k2 = len(oracle.b_ids)
+        u_sorted = [tuple(sorted(u)) for u in oracle.u_sets]
+        row = (1 << k2) - 1
+        first_of_rows = sum(1 << (i * k2) for i in range(len(u_sorted)))
+        pattern = [sum(1 << j for j in range(k2) if j >> t & 1)
+                   for t in range(max(map(len, u_sorted)))]
+        inc = [0] * oracle.n
+        for j, b in enumerate(oracle.b_ids):
+            inc[b] = first_of_rows << j
+        for i, u in enumerate(u_sorted):
+            for t, a in enumerate(oracle.a_ids):
+                if i >> t & 1:
+                    inc[a] |= row << (i * k2)
+            for t, c in enumerate(u):
+                inc[c] |= pattern[t] << (i * k2)
+        return tuple(inc)
+
+    @pytest.mark.parametrize("k1", range(7))
+    def test_member_masks_equal_the_loop_construction(self, k1):
+        rng = np.random.default_rng(k1)
+        for k2, k3 in ((0, 2), (1, 1), (3, 5), (8, 12), (5, 9)):
+            ids = [int(e) for e in rng.permutation(k1 + k2 + k3)]
+            a_ids, b_ids, c_ids = ids[:k1], ids[k1:k1 + k2], ids[k1 + k2:]
+            low = max(0, (k2 - 1).bit_length())  # 2**|U| >= k2
+            u_sets = tuple(
+                frozenset(int(c) for c in rng.choice(
+                    c_ids, size=int(rng.integers(low, k3 + 1)), replace=False))
+                for _ in range(2 ** k1))
+            oracle = NestedPhaseOracle(a_ids=tuple(a_ids), b_ids=tuple(b_ids),
+                                       c_ids=tuple(c_ids), u_sets=u_sets)
+            assert oracle._inc == self._inc_by_loop(oracle), (k1, k2, k3)
+            assert oracle._all == (1 << (2 ** k1 * k2)) - 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NestedPhaseOracle(a_ids=(0,), b_ids=(1,), c_ids=(2,),

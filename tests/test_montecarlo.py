@@ -98,6 +98,19 @@ class TestOrderSources:
         again, _ = pinned.realize(inst, 2, 456)
         assert order == again and "good" in side
 
+    @pytest.mark.parametrize("kwargs", [
+        {"pool": 0}, {"pool": -2}, {"fixed": -1}, {"pool": 3, "fixed": 1}])
+    def test_tree_orders_reject_bad_settings(self, kwargs):
+        # a negative pool gave negative order trials; pool=0 meant "fresh
+        # per trial"; with both set, fixed silently won
+        with pytest.raises(ValueError):
+            TreeOrders(**kwargs)
+
+    def test_tree_orders_pool_of_one_reuses_one_realization(self):
+        single = TreeOrders(pool=1)
+        assert {single.order_trial(t) for t in range(10)} == {0}
+        assert TreeOrders(fixed=0).order_trial(7) == 0
+
     def test_fixed_order_must_cover_every_element(self):
         # a short fixed or sampled order would otherwise walk 2 of the 3
         # elements and report a mean
