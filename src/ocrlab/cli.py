@@ -104,10 +104,13 @@ def _order_source(args, instance, orders):
         if orders is None:
             raise ValueError("instance file carries no order distribution")
         return SampledOrders(orders)
-    idx = int(mode)
+    return FixedOrder(_indexed_order(orders, int(mode)))
+
+
+def _indexed_order(orders, idx: int):
     if orders is None or not (0 <= idx < len(orders.orders)):
-        raise ValueError(f"order index {mode} not present in the instance file")
-    return FixedOrder(orders.orders[idx])
+        raise ValueError(f"order index {idx} not present in the instance file")
+    return orders.orders[idx]
 
 
 def cmd_simulate(args) -> int:
@@ -177,7 +180,8 @@ def cmd_exact(args) -> int:
     if args.mode == "aware":
         if orders is None:
             raise ValueError("aware mode needs an instance file with orders")
-        result = opt_aware_exact(instance, orders.orders[args.order], limits=limits)
+        result = opt_aware_exact(instance, _indexed_order(orders, args.order),
+                                 limits=limits)
     elif args.mode == "unaware":
         if orders is None:
             raise ValueError("unaware mode needs an instance file with orders")

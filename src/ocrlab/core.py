@@ -55,7 +55,13 @@ def _cell_key_type() -> type:
 
 def _cell_key(seed: int, trial: int, stream: int) -> tuple[int, int]:
     """The Philox key of one (seed, trial, stream) cell."""
-    seed, trial, stream = int(seed), int(trial), int(stream)
+    try:
+        # ``operator.index`` takes ints and NumPy integers, but no float,
+        # which ``int`` would truncate onto another cell
+        seed, trial, stream = (operator.index(seed), operator.index(trial),
+                               operator.index(stream))
+    except TypeError:
+        raise ValueError("seed, trial index and stream tag must be integers") from None
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial index must be nonnegative")
     # the key is (seed, trial << 2 | stream) in two 64-bit words; larger

@@ -160,53 +160,60 @@ def _order_trie(orders: FiniteOrderDistribution, n: int) -> list[tuple]:
 def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
                 limits: SolverLimits) -> SolveResult:
     """Backward induction over (order-trie node, feasibility state). A
-    node's children have larger ids, so a forward pass in id order collects
-    the states that reach each node, and a backward pass values them: each
-    next element, weighted by its share of the live orders, is decided best
-    once its value is seen. Every node has one parent, so a node's values
-    are dropped once its parent is valued."""
+    node's children have larger ids, so a forward pass in id order numbers
+    the states that reach each node and records, per child, each state's
+    successor index under select and under discard (-1 where the state
+    forbids the action). A backward pass then values each node's states as
+    one vector: each next element, weighted by its share of the live orders,
+    is decided best once its value is seen. Every node has one parent, so a
+    node's states are dropped once expanded and its values once its parent
+    is valued."""
     oracle = instance.feasibility
     allowed, commit = oracle.allowed, oracle.commit
     atoms = [d.atoms for d in instance.dists]
     trie = _order_trie(orders, instance.n)
-    start = oracle.start()
-    reach: list[dict] = [{} for _ in trie]
-    reach[0][start] = None
+    reach: list = [{} for _ in trie]
+    reach[0][oracle.start()] = 0
+    size = [0] * len(trie)
+    succ: list = [()] * len(trie)
     states = 0
     for node, children in enumerate(trie):
+        here, reach[node] = reach[node], None
+        size[node] = len(here)
         if not children:
             continue
-        states += len(reach[node])
+        states += len(here)
         if states > limits.max_states:
             raise TooLarge(f"state budget {limits.max_states} exceeded")
-        for state in reach[node]:
-            for e, _, child in children:
+        moves = []
+        for e, _, child in children:
+            nxt, sel, dis = reach[child], [], []
+            for state in here:
                 can_sel, can_dis = allowed(state, e)
                 if not (can_sel or can_dis):
                     raise InconsistentState("state admits no action")
-                if can_sel:
-                    reach[child][commit(state, e, True)] = None
-                if can_dis:
-                    reach[child][commit(state, e, False)] = None
+                sel.append(nxt.setdefault(commit(state, e, True), len(nxt))
+                           if can_sel else -1)
+                dis.append(nxt.setdefault(commit(state, e, False), len(nxt))
+                           if can_dis else -1)
+            moves.append((np.array(sel, np.intp), np.array(dis, np.intp)))
+        succ[node] = moves
+    values: list = [None] * len(trie)
     for node in reversed(range(len(trie))):
-        children = trie[node]
-        values = reach[node]
-        for state in values:
-            total = 0.0
-            for e, share, child in children:
-                can_sel, can_dis = allowed(state, e)
-                # an action the state forbids is worth -inf, so it never wins
-                sel = reach[child][commit(state, e, True)] if can_sel else -math.inf
-                keep = reach[child][commit(state, e, False)] if can_dis else -math.inf
-                stage = 0.0
-                for v, p in atoms[e]:
-                    best = v + sel  # max(best, keep), without the call
-                    stage += p * (keep if keep > best else best)
-                total += share * stage
-            values[state] = total
-        for _, _, child in children:
-            reach[child] = None
-    return SolveResult(value=reach[0][start], states_expanded=states)
+        # the trailing slot holds -inf, which the -1 index of a forbidden
+        # action reads, so that action never wins
+        vec = np.zeros(size[node] + 1)
+        vec[-1] = -math.inf
+        total = vec[:-1]
+        for (e, share, child), (sel, dis) in zip(trie[node], succ[node]):
+            after, values[child] = values[child], None
+            win, keep = after[sel], after[dis]
+            stage = np.zeros(size[node])
+            for v, p in atoms[e]:
+                stage += p * np.maximum(v + win, keep)
+            total += share * stage
+        values[node] = vec
+    return SolveResult(value=float(values[0][0]), states_expanded=states)
 
 
 # --- offline benchmark ---------------------------------------------------------

@@ -186,6 +186,21 @@ class TestExact:
                              "--max-states", "35349")
         assert code == RESOURCE_ERROR and out == "" and "35349" in err
 
+    @pytest.mark.parametrize("order", ["-1", "2", "5"])
+    def test_aware_rejects_an_order_index_outside_the_file(self, multiunit_file,
+                                                           capsys, order):
+        # -1 once solved the last order and reported "order": -1; 5 raised
+        # an IndexError traceback
+        code, out, err = run(capsys, "exact", "--instance", multiunit_file,
+                             "--mode", "aware", "--order", order)
+        assert code == USAGE_ERROR and out == ""
+        assert f"order index {order} not present" in err
+
+    def test_aware_solves_the_last_order(self, multiunit_file, capsys):
+        code, out, _ = run(capsys, "exact", "--instance", multiunit_file,
+                           "--mode", "aware", "--order", "1")
+        assert code == 0 and json.loads(out)["config"]["order"] == 1
+
     def test_unaware_needs_orders(self, tmp_path, capsys):
         path = tmp_path / "part.json"
         run(capsys, "gen", "--construction", "partition-scaled", "--blocks", "2",

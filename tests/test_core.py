@@ -132,13 +132,22 @@ class TestCellDraws:
             got, self._expected(4, range(6), STREAM_ORDER, 6, 10, np.uint64))
 
     @pytest.mark.parametrize("seed, trial, stream", [
-        (-1, 0, 0), (2 ** 64, 0, 0), (0, -1, 0), (0, 2 ** 62, 0), (0, 0, -1), (0, 0, 4)])
+        (-1, 0, 0), (2 ** 64, 0, 0), (0, -1, 0), (0, 2 ** 62, 0), (0, 0, -1), (0, 0, 4),
+        # float keys: int() once mapped (3.9, 2.5, 1.2) silently onto cell (3, 2, 1)
+        (3.9, 2.5, 1.2), (3, 2.5, 1), (3, 2, 1.2), (np.float64(3.0), 2, 1), ("3", 2, 1)])
     def test_rejects_the_keys_trial_rng_rejects(self, seed, trial, stream):
         with pytest.raises(ValueError) as cell:
             trial_rng(seed, trial, stream)
         with pytest.raises(ValueError) as block:
             list(cell_draws(seed, [trial], stream, np.empty((1, 4))))
         assert str(block.value) == str(cell.value)
+
+    def test_numpy_integer_keys_draw_the_python_integer_cell(self):
+        ref = trial_rng(3, 2, 1).random(8)
+        keys = (np.uint64(3), np.int32(2), np.int8(1))
+        np.testing.assert_array_equal(trial_rng(*keys).random(8), ref)
+        row = next(cell_draws(keys[0], [keys[1]], keys[2], np.empty((1, 8))))
+        np.testing.assert_array_equal(row, ref)
 
     def test_rejects_a_negative_start(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ closed-form values on the calibration instances, and resource guards."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,12 +23,53 @@ from ocrlab.policies import (GreedyPolicy, Knowledge, always_discard_policy,
                              greedy_policy, multiunit_threshold_policy,
                              nested_aware_policy, nested_guess_policy,
                              tree_gamble_policy)
-from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, _iter_realizations,
-                            eval_policy_exact, exhaustive_policy_search,
-                            max_feasible_sum, opt_aware_exact, opt_unaware_exact,
-                            prophet_exact, ratio_exact)
+from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, SolveResult, _expectimax,
+                            _iter_realizations, _order_trie, eval_policy_exact,
+                            exhaustive_policy_search, max_feasible_sum,
+                            opt_aware_exact, opt_unaware_exact, prophet_exact,
+                            ratio_exact)
 
 WIDE = SolverLimits(max_elements=400, max_orders=64, max_states=10**7)
+
+
+def _dict_expectimax(instance, orders, limits=WIDE):
+    """The expectimax as one dict per trie node, from state to value, and a
+    scalar backward pass that asks the oracle again: the reference for the
+    vector backward pass, which must give the same bits."""
+    oracle = instance.feasibility
+    allowed, commit = oracle.allowed, oracle.commit
+    atoms = [d.atoms for d in instance.dists]
+    trie = _order_trie(orders, instance.n)
+    start = oracle.start()
+    reach = [{} for _ in trie]
+    reach[0][start] = None
+    states = 0
+    for node, children in enumerate(trie):
+        if not children:
+            continue
+        states += len(reach[node])
+        for state in reach[node]:
+            for e, _, child in children:
+                can_sel, can_dis = allowed(state, e)
+                if can_sel:
+                    reach[child][commit(state, e, True)] = None
+                if can_dis:
+                    reach[child][commit(state, e, False)] = None
+    for node in reversed(range(len(trie))):
+        values = reach[node]
+        for state in values:
+            total = 0.0
+            for e, share, child in trie[node]:
+                can_sel, can_dis = allowed(state, e)
+                sel = reach[child][commit(state, e, True)] if can_sel else -math.inf
+                keep = reach[child][commit(state, e, False)] if can_dis else -math.inf
+                stage = 0.0
+                for v, p in atoms[e]:
+                    best = v + sel
+                    stage += p * (keep if keep > best else best)
+                total += share * stage
+            values[state] = total
+    return SolveResult(value=reach[0][start], states_expanded=states)
 
 
 class TestAgainstBruteForce:
@@ -164,6 +206,78 @@ class TestOrderTrie:
         finally:
             tracemalloc.stop()
         assert grown < 1 << 20
+
+
+class TestVectorBackwardPass:
+    """The expectimax's per-node vectors against the dict-per-node
+    reference: equal by ``repr``, with equal state counts."""
+
+    @staticmethod
+    def _same(instance, orders):
+        got, ref = _expectimax(instance, orders, WIDE), _dict_expectimax(instance, orders)
+        assert type(got.value) is float
+        assert (repr(got.value), got.states_expanded) == (repr(ref.value),
+                                                          ref.states_expanded)
+        return got
+
+    def test_random_micro_instances_aware_and_unaware(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            instance, orders = random_micro_instance(rng, max_n=6, max_orders=4)
+            self._same(instance, orders)
+            for order in orders.orders:
+                self._same(instance, FiniteOrderDistribution((order,), (1.0,)))
+
+    def test_three_atom_values(self):
+        # with three atoms or more, another summation order shows in the bits
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            dists = tuple(ValueDistribution(tuple(zip(rng.uniform(0, 5, 3).tolist(),
+                                                      (0.25, 0.35, 0.4))))
+                          for _ in range(6))
+            instance = Instance(name="ternary", dists=dists,
+                                feasibility=KUniformOracle(n=6, k=2))
+            orders = [tuple(int(e) for e in rng.permutation(6)) for _ in range(3)]
+            self._same(instance, FiniteOrderDistribution.uniform(orders))
+
+    def test_construction_instances(self):
+        instance, orders = build_multiunit_instance(5)
+        self._same(instance, orders)
+        instance, orders = build_nested_scaled(2, 4, 12, u_size=3, q=0.25)
+        self._same(instance, orders)
+        self._same(instance, FiniteOrderDistribution((orders.orders[0],), (1.0,)))
+
+    def test_pinned_benchmark_solves(self):
+        # the instances the exact-solve benchmark round runs
+        nested, orders = build_nested_scaled(3, 16, 32, u_size=4, q=0.1)
+        assert repr(opt_unaware_exact(nested, orders, limits=WIDE).value) == \
+            "0.18933724763935203"
+        assert repr(opt_aware_exact(nested, orders.orders[0], limits=WIDE).value) == \
+            "0.814697981114816"
+        mu, orders = build_multiunit_instance(5)
+        assert repr(opt_unaware_exact(mu, orders, limits=WIDE).value) == "9.400390625"
+
+    def test_forced_actions_and_a_zero_probability_atom(self):
+        # not downward closed: every set holds element 1, so it must be
+        # selected, and a selected 0 forces 3 out; element 2's atom 9.0 has
+        # probability 0
+        oracle = ExplicitFamilyOracle(n=4, sets=(frozenset({0, 1}), frozenset({0, 1, 2}),
+                                                 frozenset({1, 3})))
+        assert not oracle.downward_closed
+        dists = (ValueDistribution.bernoulli(0.5, hi=2.0),
+                 ValueDistribution.deterministic(1.0),
+                 ValueDistribution(((9.0, 0.0), (1.0, 1.0))),
+                 ValueDistribution.bernoulli(0.3, hi=4.0))
+        instance = Instance(name="forced", dists=dists, feasibility=oracle)
+        orders = FiniteOrderDistribution.uniform([(0, 1, 2, 3), (3, 2, 1, 0),
+                                                  (2, 0, 3, 1)])
+        for source in (orders, orders.orders[1]):
+            belief = (source if isinstance(source, FiniteOrderDistribution)
+                      else FiniteOrderDistribution((source,), (1.0,)))
+            value = self._same(instance, belief).value
+            assert math.isfinite(value)
+            assert value == pytest.approx(exhaustive_policy_search(instance, source),
+                                          abs=1e-12)
 
 
 class TestProphet:
