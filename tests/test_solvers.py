@@ -271,9 +271,8 @@ class TestVectorBackwardPass:
         instance = Instance(name="forced", dists=dists, feasibility=oracle)
         orders = FiniteOrderDistribution.uniform([(0, 1, 2, 3), (3, 2, 1, 0),
                                                   (2, 0, 3, 1)])
-        for source in (orders, orders.orders[1]):
-            belief = (source if isinstance(source, FiniteOrderDistribution)
-                      else FiniteOrderDistribution((source,), (1.0,)))
+        one_order = FiniteOrderDistribution((orders.orders[1],), (1.0,))
+        for belief, source in ((orders, orders), (one_order, orders.orders[1])):
             value = self._same(instance, belief).value
             assert math.isfinite(value)
             assert value == pytest.approx(exhaustive_policy_search(instance, source),
