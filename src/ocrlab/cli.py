@@ -71,8 +71,7 @@ def cmd_gen(args) -> int:
         instance, orders = build_nested_instance(args.x, seed=args.seed)
     elif name == "nested-scaled":
         instance, orders = build_nested_scaled(args.k1, args.k2, args.k3,
-                                               u_size=args.usize, q=args.q,
-                                               seed=args.seed)
+                                               u_size=args.usize, q=args.q)
     elif name == "partition":
         instance = build_partition_instance(args.kappa)
     elif name == "partition-scaled":
@@ -141,9 +140,7 @@ def cmd_ratio(args) -> int:
     if not args.reference:
         args.reference = ["exact"]
     if args.reference == ["exact"]:
-        limits = SolverLimits(max_elements=instance.n)
-        references = [opt_aware_exact(instance, o, limits=limits).value
-                      for o in orders.orders]
+        references = [opt_aware_exact(instance, o).value for o in orders.orders]
     else:
         references = [parse_policy_spec(spec) for spec in args.reference]
         if len(references) == 1:
@@ -175,7 +172,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_exact(args) -> int:
     instance, orders = load_instance(args.instance)
-    limits = SolverLimits(max_elements=instance.n, max_states=args.max_states)
+    limits = SolverLimits(max_states=args.max_states)
     t0 = time.perf_counter()
     if args.mode == "aware":
         if orders is None:
@@ -247,6 +244,8 @@ def cmd_verify(args) -> int:
             return CHECK_FAILURE
         return 0
     # instance: schema round-trip must be byte-identical
+    if args.instance is None:
+        raise ValueError("verify --what instance needs --instance")
     instance, orders = load_instance(args.instance)
     with open(args.instance, "rb") as fh:
         original = fh.read()

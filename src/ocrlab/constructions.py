@@ -311,8 +311,7 @@ def _nested_from_parts(name: str, k1: int, k2: int, k3: int,
     return inst, FiniteOrderDistribution.uniform(orders)
 
 
-def build_nested_instance(x: int, seed: int,
-                          max_attempts: int = 100) -> tuple[Instance, FiniteOrderDistribution]:
+def build_nested_instance(x: int, seed: int) -> tuple[Instance, FiniteOrderDistribution]:
     """The asymptotic construction: n = 2^(2x) elements split into A, B, C
     with a randomly built completion family. At desk scale the family build
     is expected to fail (the family only exists for very large n)."""
@@ -325,31 +324,24 @@ def build_nested_instance(x: int, seed: int,
     k2 = n - k3 - k1
     if k2 <= 0:
         raise TooLarge("n too small to leave any B elements")
-    family = build_u_family(n=n, alpha=10, k1=k1, k3=k3, seed=seed,
-                            max_attempts=max_attempts)
+    family = build_u_family(n=n, alpha=10, k1=k1, k3=k3, seed=seed)
     meta = {"construction": "nested", "x": str(x), "k1": str(k1), "k2": str(k2),
             "k3": str(k3), "q": repr(1.0 / n ** 2), "seed": str(seed),
             "u_attempts": str(family.attempts)}
     return _nested_from_parts(f"nested-x{x}", k1, k2, k3, family.sets, 1.0 / n ** 2, meta)
 
 
-def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float,
-                        seed: int = 0, disjoint: bool = True
+def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
                         ) -> tuple[Instance, FiniteOrderDistribution]:
-    """Desk-scale variant with explicit part sizes. With ``disjoint`` the U
-    sets are consecutive slices of C, so a wrong Phase-1 guess leaves exactly
-    one selectable B element."""
+    """Desk-scale variant with explicit part sizes. The U sets are
+    consecutive slices of C, so a wrong Phase-1 guess leaves exactly one
+    selectable B element."""
     num_sets = 2 ** k1
-    if disjoint:
-        if num_sets * u_size > k3:
-            raise TooLarge(f"{num_sets} disjoint size-{u_size} sets need "
-                           f"k3 >= {num_sets * u_size}, got {k3}")
-        u_sets = tuple(frozenset(range(i * u_size, (i + 1) * u_size))
-                       for i in range(num_sets))
-    else:
-        rng = trial_rng(seed, 0, STREAM_ORDER)
-        u_sets = tuple(frozenset(rng.choice(k3, size=u_size, replace=False).tolist())
-                       for _ in range(num_sets))
+    if num_sets * u_size > k3:
+        raise TooLarge(f"{num_sets} disjoint size-{u_size} sets need "
+                       f"k3 >= {num_sets * u_size}, got {k3}")
+    u_sets = tuple(frozenset(range(i * u_size, (i + 1) * u_size))
+                   for i in range(num_sets))
     meta = {"construction": "nested", "k1": str(k1), "k2": str(k2), "k3": str(k3),
             "u_size": str(u_size), "q": repr(q), "scaled": "true",
             "non_asymptotic": "true"}

@@ -411,31 +411,36 @@ def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistributio
     reads back as the ``0.0`` of an equal row before it.)"""
     from . import feasibility as feas
 
-    elements = sorted(doc["elements"], key=lambda r: r["id"])
-    if [r["id"] for r in elements] != list(range(len(elements))):
-        raise ValueError("element ids must be dense integers from 0")
-    interned: dict[tuple, ValueDistribution] = {}
-    dists = []
-    for r in elements:
-        # keyed on the row as parsed; equal rows are converted and checked once
-        row = tuple(map(tuple, r["dist"]))
-        d = interned.get(row)
-        if d is None:
-            d = interned[row] = ValueDistribution(
-                tuple((float(v), float(p)) for v, p in row))
-        dists.append(d)
-    oracle = feas.oracle_from_json(doc["feasibility"])
-    inst = Instance(name=doc["name"], dists=tuple(dists), feasibility=oracle,
-                    metadata={str(k): str(v) for k, v in doc.get("metadata", {}).items()})
-    orders = None
-    if doc.get("orders"):
-        orders = FiniteOrderDistribution(
-            tuple(r["sequence"] for r in doc["orders"]),
-            tuple(float(r["weight"]) for r in doc["orders"]),
-        )
-        if len(orders.orders[0]) != inst.n:
-            raise ValueError("order must be a permutation of all element ids")
-    return inst, orders
+    try:
+        elements = sorted(doc["elements"], key=lambda r: r["id"])
+        if [r["id"] for r in elements] != list(range(len(elements))):
+            raise ValueError("element ids must be dense integers from 0")
+        interned: dict[tuple, ValueDistribution] = {}
+        dists = []
+        for r in elements:
+            # keyed on the row as parsed; equal rows are converted and checked once
+            row = tuple(map(tuple, r["dist"]))
+            d = interned.get(row)
+            if d is None:
+                d = interned[row] = ValueDistribution(
+                    tuple((float(v), float(p)) for v, p in row))
+            dists.append(d)
+        oracle = feas.oracle_from_json(doc["feasibility"])
+        metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
+        inst = Instance(name=doc["name"], dists=tuple(dists), feasibility=oracle,
+                        metadata=metadata)
+        orders = None
+        if doc.get("orders"):
+            orders = FiniteOrderDistribution(
+                tuple(r["sequence"] for r in doc["orders"]),
+                tuple(float(r["weight"]) for r in doc["orders"]),
+            )
+            if len(orders.orders[0]) != inst.n:
+                raise ValueError("order must be a permutation of all element ids")
+        return inst, orders
+    except (TypeError, AttributeError) as exc:
+        # a list where an object belongs, a number where a list does, ...
+        raise ValueError(f"malformed instance file: {exc}") from exc
 
 
 def dump_instance(instance: Instance, path,

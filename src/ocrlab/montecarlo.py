@@ -81,26 +81,18 @@ class SampledOrders:
 
 @dataclass(frozen=True)
 class TreeOrders:
-    """Per trial, a fresh draw of the tree order recursion. With ``pool``
-    set, trial t reuses realization t mod pool; with ``fixed`` set, every
-    trial uses realization ``fixed``. Realizations are keyed by their own
-    index, so both modes are deterministic."""
+    """Per trial, a fresh draw of the tree order recursion; with ``fixed``
+    set, every trial uses realization ``fixed``. Realizations are keyed by
+    their own index, so both modes are deterministic."""
 
-    pool: int | None = None
     fixed: int | None = None
 
     def __post_init__(self):
-        if self.pool is not None and self.fixed is not None:
-            raise ValueError("set pool or fixed, not both")
-        if self.pool is not None and self.pool < 1:
-            raise ValueError("pool must be at least 1")
         if self.fixed is not None and self.fixed < 0:
             raise ValueError("fixed realization index must be nonnegative")
 
     def order_trial(self, trial: int) -> int:
-        if self.fixed is not None:
-            return self.fixed
-        return trial if self.pool is None else trial % self.pool
+        return trial if self.fixed is None else self.fixed
 
     def realize(self, instance, seed, trial):
         real = sample_tree_order(instance, seed, self.order_trial(trial))
@@ -521,8 +513,7 @@ class RatioEstimate:
 
 
 def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistribution,
-                   trials: int, seed: int, references, workers: int = 1,
-                   fast: bool = True) -> RatioEstimate:
+                   trials: int, seed: int, references, workers: int = 1) -> RatioEstimate:
     """Per-order ALG/OPT ratio estimates against an aware reference.
 
     ``orders`` is a finite order distribution or a list of per-order sources
@@ -550,11 +541,11 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
         ref = references[idx]
         if isinstance(ref, Policy):
             num, den = simulate_many([policy, ref], instance, src,
-                                     per_order_trials, seed, workers=workers, fast=fast)
+                                     per_order_trials, seed, workers=workers)
             den_mean, den_lo, den_hi = den.mean, den.ci95[0], den.ci95[1]
         else:
             num = simulate(policy, instance, src, per_order_trials, seed,
-                           workers=workers, fast=fast)
+                           workers=workers)
             den = float(ref)
             den_mean = den_lo = den_hi = den
         if den_mean <= 0.0:

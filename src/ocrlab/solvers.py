@@ -24,19 +24,19 @@ from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracl
 
 @dataclass(frozen=True)
 class SolverLimits:
-    max_elements: int = 20
-    max_orders: int = 64
+    """``max_states`` is the exact solvers' budget: trie nodes, states and
+    tree slot updates. ``max_realizations`` bounds the prophet's value
+    support; ``max_elements``, when set, caps the expectimax's element
+    count."""
+
+    max_elements: int | None = None
     max_states: int = 2_000_000
     max_realizations: int = 1 << 20
 
     def __post_init__(self):
-        if min(self.max_elements, self.max_orders, self.max_states,
-               self.max_realizations) <= 0:
+        if (min(self.max_states, self.max_realizations) <= 0
+                or (self.max_elements is not None and self.max_elements <= 0)):
             raise ValueError("limits must be positive")
-
-
-AWARE_LIMITS = SolverLimits(max_elements=20)
-UNAWARE_LIMITS = SolverLimits(max_elements=10)
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,9 @@ class SolveResult:
     value: float
     states_expanded: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
-                    limits: SolverLimits | None = None) -> SolveResult:
+                    limits: SolverLimits = SolverLimits()) -> SolveResult:
     """Optimal online value for a known order, by backward induction.
 
     On a ``TreePathOracle`` the state is (position, deepest selected node or
@@ -57,21 +54,18 @@ def opt_aware_exact(instance: Instance, order: ArrivalOrder,
     join the chain exactly when it is comparable with the deepest selected
     node, so nothing else about the past matters. A position updates only
     the states comparable with its element, O(n·k) in all; ``max_states``
-    bounds that count and ``max_elements`` does not apply.
+    bounds that count.
 
     Every other oracle kind runs the order-unaware expectimax on the
     one-order belief, whose nodes are then (position, feasibility state):
     the oracle's state summarizes everything the future depends on, so
     states reached by different histories share one sub-problem. For
     k-uniform constraints that is the selected count, at most n(k+1)
-    states. ``max_elements`` and ``max_states`` bound this solve.
+    states.
     """
-    limits = limits or AWARE_LIMITS
     n = instance.n
     if isinstance(instance.feasibility, TreePathOracle):
         return _opt_aware_tree_path(instance, check_order(order, n), limits)
-    if n > limits.max_elements:
-        raise TooLarge(f"{n} elements over the limit {limits.max_elements}")
     one_order = FiniteOrderDistribution((check_order(order, n),), (1.0,))
     return _expectimax(instance, one_order, limits)
 
@@ -112,7 +106,7 @@ def _opt_aware_tree_path(instance: Instance, order: ArrivalOrder,
 
 
 def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
-                      limits: SolverLimits | None = None) -> SolveResult:
+                      limits: SolverLimits = SolverLimits()) -> SolveResult:
     """Value of the best algorithm that knows the order distribution but not
     the realization: expectimax over belief states.
 
@@ -123,21 +117,17 @@ def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
     values are order-independent, so only the current element's realization
     enters.
     """
-    limits = limits or UNAWARE_LIMITS
-    n = instance.n
-    if n > limits.max_elements:
-        raise TooLarge(f"{n} elements over the limit {limits.max_elements}")
-    if len(orders.orders) > limits.max_orders:
-        raise TooLarge(f"{len(orders.orders)} orders over the limit {limits.max_orders}")
     return _expectimax(instance, orders, limits)
 
 
-def _order_trie(orders: FiniteOrderDistribution, n: int) -> list[tuple]:
+def _order_trie(orders: FiniteOrderDistribution, n: int,
+                max_states: int) -> list[tuple]:
     """The prefix trie of the orders, built level by level. Node 0 is the
     root, and ``trie[t]`` lists node t's children as (element, w_g / w_live,
     child): the next element and the weight share, among the orders alive at
     t, of those that continue with it. A node fixes both the live orders and
-    the position; a node at position n has no children."""
+    the position; a node at position n has no children. More than
+    ``max_states`` nodes raise ``TooLarge`` once their level is built."""
     weights = orders.weights
     trie: list[tuple] = []
     level = [tuple(range(len(orders.orders)))]
@@ -153,6 +143,8 @@ def _order_trie(orders: FiniteOrderDistribution, n: int) -> list[tuple]:
                                first + len(nxt) + c)
                               for c, (e, idxs) in enumerate(groups.items())))
             nxt += map(tuple, groups.values())
+        if first + len(nxt) > max_states:
+            raise TooLarge(f"state budget {max_states} exceeded")
         level = nxt
     return trie + [()] * len(level)
 
@@ -168,10 +160,12 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
     is decided best once its value is seen. Every node has one parent, so a
     node's states are dropped once expanded and its values once its parent
     is valued."""
+    if limits.max_elements is not None and instance.n > limits.max_elements:
+        raise TooLarge(f"{instance.n} elements over the limit {limits.max_elements}")
     oracle = instance.feasibility
     allowed, commit = oracle.allowed, oracle.commit
     atoms = [d.atoms for d in instance.dists]
-    trie = _order_trie(orders, instance.n)
+    trie = _order_trie(orders, instance.n, limits.max_states)
     reach: list = [{} for _ in trie]
     reach[0][oracle.start()] = 0
     size = [0] * len(trie)
@@ -207,11 +201,7 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
         total = vec[:-1]
         for (e, share, child), (sel, dis) in zip(trie[node], succ[node]):
             after, values[child] = values[child], None
-            win, keep = after[sel], after[dis]
-            stage = np.zeros(size[node])
-            for v, p in atoms[e]:
-                stage += p * np.maximum(v + win, keep)
-            total += share * stage
+            total += share * _expect(atoms[e], after[sel], after[dis])
         values[node] = vec
     return SolveResult(value=float(values[0][0]), states_expanded=states)
 
@@ -303,11 +293,10 @@ def _expected_max_independent(dists: list[dict[float, float]]) -> tuple[float, i
     return total, len(points)
 
 
-def prophet_exact(instance: Instance, limits: SolverLimits | None = None) -> SolveResult:
+def prophet_exact(instance: Instance, limits: SolverLimits = SolverLimits()) -> SolveResult:
     """E[max feasible sum]: by enumeration of the product support, or, when
     the constraint decomposes into independent groups (one block / one
     pair), from the exact group-sum distributions."""
-    limits = limits or AWARE_LIMITS
     oracle = instance.feasibility
     groups = None
     if isinstance(oracle, PartitionOneBlockOracle):
@@ -385,13 +374,12 @@ def exhaustive_policy_search(instance: Instance,
 
 
 def eval_policy_exact(policy, instance: Instance, order: ArrivalOrder,
-                      limits: SolverLimits | None = None) -> float:
+                      limits: SolverLimits = SolverLimits()) -> float:
     """Expected value of a deterministic policy on a fixed order, by one
     forward pass of ``run_policy``'s steps: per position, a dict from (oracle
     state, policy state) to probability mass, summing the gain as mass moves."""
     from .policies import Knowledge
 
-    limits = limits or AWARE_LIMITS
     order = check_order(order, instance.n)
     kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
     oracle = instance.feasibility
@@ -442,12 +430,11 @@ class ExactRatioReport:
 
 
 def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
-                limits: SolverLimits | None = None) -> ExactRatioReport:
+                limits: SolverLimits = SolverLimits()) -> ExactRatioReport:
     """Per-order ALG/OPT ratios and their minimum (the order-competitive
     ratio of the policy), plus the prophet-based competitive ratio. When the
     prophet's value support exceeds ``limits``, the rows still stand and the
     prophet and competitive ratio are ``None``, with a warning."""
-    limits = limits or AWARE_LIMITS
     rows: list[ExactRatioRow] = []
     notes: list[str] = []
     for idx, order in enumerate(orders.orders):

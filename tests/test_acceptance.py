@@ -33,7 +33,7 @@ from ocrlab.solvers import (SolverLimits, eval_policy_exact, exhaustive_policy_s
                             ratio_exact)
 
 SEED = 2026
-WIDE = SolverLimits(max_elements=32, max_states=10_000_000)
+WIDE = SolverLimits(max_states=10_000_000)
 
 
 def _half(report) -> float:
@@ -186,16 +186,15 @@ def test_criterion_4_nested_exact():
     # the stated k3=8 cannot host 4 pairwise-disjoint injective completion
     # sets of size 3 (needs k3 >= 12), so the miniature uses k3=12
     instance, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
-    limits = SolverLimits(max_elements=24)
     aware_target = 1.0 - 0.9 ** 8
     aware_vals = []
     for order in orders.orders:
-        val = eval_policy_exact(nested_aware_policy(), instance, order, limits=limits)
+        val = eval_policy_exact(nested_aware_policy(), instance, order)
         assert abs(val - aware_target) <= 1e-9
         aware_vals.append(val)
-        opt = opt_aware_exact(instance, order, limits=limits).value
+        opt = opt_aware_exact(instance, order).value
         assert abs(opt - aware_target) <= 1e-9
-    unaware = opt_unaware_exact(instance, orders, limits=limits).value
+    unaware = opt_unaware_exact(instance, orders).value
     mixture = 0.25 * aware_target + 0.75 * 0.1
     assert unaware <= mixture + 1e-9
     ratio = unaware / (sum(aware_vals) / len(aware_vals))

@@ -72,7 +72,7 @@ def test_hooks_see_the_batched_tree_path():
     instance = build_tree_instance(2)
     policies = [tree_aware_policy(), tree_gamble_policy(0), greedy_policy()]
     trials = CHUNK_SIZE + 10
-    for source in (TreeOrders(), TreeOrders(pool=3)):
+    for source in (TreeOrders(), TreeOrders(fixed=3)):
         plain = simulate_many(policies, instance, source, trials=trials, seed=4)
         tracer = tracing.Tracer()
         saved = tracing.install(tracer)

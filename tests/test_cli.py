@@ -271,6 +271,30 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == "" and "4 elements" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("malform", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "elements": [{**doc["elements"][0], "dist": 5},
+                                         *doc["elements"][1:]]},
+        lambda doc: {**doc, "metadata": [["k", "4"]]},
+    ], ids=["top-level-list", "numeric-dist", "list-metadata"])
+    def test_usage_error_on_a_malformed_instance_file(self, multiunit_file, tmp_path,
+                                                      capsys, malform):
+        # each gave a TypeError or AttributeError traceback and exit 1
+        with open(multiunit_file) as fh:
+            doc = json.load(fh)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malform(doc)))
+        code, out, err = run(capsys, "simulate", "--instance", str(bad), "--policy", "greedy",
+                             "--order", "0", "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err.startswith("error: malformed instance file: ") and err.count("\n") == 1
+
+    def test_usage_error_on_verify_instance_without_a_file(self, capsys):
+        # it opened None: a TypeError traceback and exit 1
+        code, out, err = run(capsys, "verify", "--what", "instance")
+        assert code == USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--instance" in err
+
     def test_resource_error_on_nested_x6_before_the_family_draw(self, tmp_path, capsys):
         # 2**24 U sets would be drawn before the oracle's A-part cap
         code, out, err = run(capsys, "gen", "--construction", "nested", "--x", "6",
@@ -291,3 +315,12 @@ class TestExitCodes:
         assert code == 0
         summary = json.loads(out)
         assert summary["n"] == 22 and summary["orders"] == 4
+
+    def test_gen_nested_scaled_ignores_the_seed(self, tmp_path, capsys):
+        texts = []
+        for seed in ("0", "7"):
+            path = tmp_path / f"n{seed}.json"
+            assert run(capsys, "gen", "--construction", "nested-scaled",
+                       "--seed", seed, "--out", str(path))[0] == 0
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]

@@ -87,29 +87,21 @@ class TestOrderSources:
         assert seen == set(orders.orders)
         assert src.realize(inst, 7, 3) == src.realize(inst, 7, 3)
 
-    def test_tree_orders_pooling(self):
+    def test_tree_orders_pinned(self):
         inst = build_tree_instance(4)
-        pooled = TreeOrders(pool=3)
-        assert pooled.order_trial(0) == pooled.order_trial(3) == 0
-        assert pooled.order_trial(5) == 2
+        assert [TreeOrders().order_trial(t) for t in (0, 5)] == [0, 5]
+        assert TreeOrders(fixed=0).order_trial(7) == 0
         pinned = TreeOrders(fixed=11)
         assert pinned.order_trial(0) == pinned.order_trial(999) == 11
         order, side = pinned.realize(inst, 2, 123)
         again, _ = pinned.realize(inst, 2, 456)
         assert order == again and "good" in side
 
-    @pytest.mark.parametrize("kwargs", [
-        {"pool": 0}, {"pool": -2}, {"fixed": -1}, {"pool": 3, "fixed": 1}])
+    @pytest.mark.parametrize("kwargs", [{"fixed": -1}])
     def test_tree_orders_reject_bad_settings(self, kwargs):
-        # a negative pool gave negative order trials; pool=0 meant "fresh
-        # per trial"; with both set, fixed silently won
+        # a negative index gave negative order trials
         with pytest.raises(ValueError):
             TreeOrders(**kwargs)
-
-    def test_tree_orders_pool_of_one_reuses_one_realization(self):
-        single = TreeOrders(pool=1)
-        assert {single.order_trial(t) for t in range(10)} == {0}
-        assert TreeOrders(fixed=0).order_trial(7) == 0
 
     def test_fixed_order_must_cover_every_element(self):
         # a short fixed or sampled order would otherwise walk 2 of the 3

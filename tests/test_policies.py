@@ -171,7 +171,7 @@ class TestTreePolicies:
         assert trials > min(CHUNK_SIZE, TREE_BLOCK_CELLS // inst.n)
         policies = ([tree_aware_policy(), greedy_policy(), always_discard_policy()]
                     + [tree_gamble_policy(l) for l in range(k + 1)])
-        for src in (TreeOrders(), TreeOrders(pool=3), TreeOrders(fixed=5)):
+        for src in (TreeOrders(), TreeOrders(fixed=5)):
             fast = simulate_many(policies, inst, src, trials=trials, seed=6, fast=True)
             slow = simulate_many(policies, inst, src, trials=trials, seed=6, fast=False)
             for f, s in zip(fast, slow):

@@ -23,13 +23,13 @@ from ocrlab.policies import (GreedyPolicy, Knowledge, always_discard_policy,
                              greedy_policy, multiunit_threshold_policy,
                              nested_aware_policy, nested_guess_policy,
                              tree_gamble_policy)
-from ocrlab.solvers import (AWARE_LIMITS, SolverLimits, SolveResult, _expectimax,
+from ocrlab.solvers import (SolverLimits, SolveResult, _expectimax,
                             _iter_realizations, _order_trie, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
 
-WIDE = SolverLimits(max_elements=400, max_orders=64, max_states=10**7)
+WIDE = SolverLimits(max_states=10**7)
 
 
 def _dict_expectimax(instance, orders, limits=WIDE):
@@ -39,7 +39,7 @@ def _dict_expectimax(instance, orders, limits=WIDE):
     oracle = instance.feasibility
     allowed, commit = oracle.allowed, oracle.commit
     atoms = [d.atoms for d in instance.dists]
-    trie = _order_trie(orders, instance.n)
+    trie = _order_trie(orders, instance.n, limits.max_states)
     start = oracle.start()
     reach = [{} for _ in trie]
     reach[0][start] = None
@@ -109,7 +109,7 @@ class TestTreePathInduction:
         tree = opt_aware_exact(instance, order).value
         one_order = FiniteOrderDistribution((order,), (1.0,))
         assert tree == pytest.approx(
-            opt_unaware_exact(instance, one_order, limits=AWARE_LIMITS).value, abs=1e-12)
+            opt_unaware_exact(instance, one_order).value, abs=1e-12)
         assert tree == pytest.approx(exhaustive_policy_search(instance, order), abs=1e-12)
 
     def test_random_orders(self):
@@ -163,9 +163,8 @@ class TestStateMemo:
         # the k-uniform state is the selected count, so at k=5 the solve
         # meets at most 6 states at each of the 21 positions
         instance, orders = build_multiunit_instance(5)
-        limits = SolverLimits(max_elements=64, max_states=10_000_000)
         for order, value in zip(orders.orders, (9.3671875, 9.51171875)):
-            res = opt_aware_exact(instance, order, limits=limits)
+            res = opt_aware_exact(instance, order)
             assert res.value == value
             assert res.states_expanded <= 21 * 6
 
@@ -176,9 +175,8 @@ class TestOrderTrie:
     def test_multiunit_k100_solves(self):
         # (2k - OPT)/sqrt(k) is the independent backward induction's value
         instance, orders = build_multiunit_instance(100)
-        limits = SolverLimits(max_elements=400, max_states=10**7)
         for order, scaled in zip(orders.orders, (0.2906, 0.2245)):
-            res = opt_aware_exact(instance, order, limits=limits)
+            res = opt_aware_exact(instance, order)
             assert round((200 - res.value) / 10, 4) == scaled
             assert res.states_expanded == 35_350
 
@@ -317,7 +315,7 @@ def _enumerated(policy, instance, order) -> float:
     kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
     pstate = policy.start(instance, kn)
     return sum(prob * run_policy(policy, instance, order, values, pstate).total
-               for values, prob in _iter_realizations(instance, AWARE_LIMITS))
+               for values, prob in _iter_realizations(instance, SolverLimits()))
 
 
 class TestPolicyEvaluation:
@@ -406,38 +404,60 @@ class TestPolicyEvaluation:
 
 class TestGuards:
     def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            SolverLimits(max_elements=0)
+        assert SolverLimits().max_elements is None
+        for bad in ({"max_elements": 0}, {"max_states": 0}, {"max_realizations": -1}):
+            with pytest.raises(ValueError):
+                SolverLimits(**bad)
 
     def test_element_and_order_limits(self):
         rng = np.random.default_rng(37)
         instance, orders = random_micro_instance(rng, max_orders=1)
         order = orders.orders[0]
         two_orders = FiniteOrderDistribution.uniform([order, order[::-1]])
-        tight = SolverLimits(max_elements=1)
-        with pytest.raises(TooLarge):
-            opt_aware_exact(instance, order, limits=tight)
-        with pytest.raises(TooLarge):
-            opt_unaware_exact(instance, two_orders, limits=SolverLimits(max_orders=1))
+        with pytest.raises(TooLarge, match="elements over the limit 1"):
+            opt_aware_exact(instance, order, limits=SolverLimits(max_elements=1))
+        # orders that part at once make a trie of 2n + 1 nodes
+        with pytest.raises(TooLarge, match="state budget"):
+            opt_unaware_exact(instance, two_orders,
+                              limits=SolverLimits(max_states=2 * instance.n))
         with pytest.raises(TooLarge):
             opt_aware_exact(instance, orders.orders[0],
                             limits=SolverLimits(max_states=1))
+
+    def test_order_trie_counts_its_nodes_against_the_budget(self):
+        orders = FiniteOrderDistribution.uniform([(0, 1, 2), (2, 1, 0)])
+        assert len(_order_trie(orders, 3, max_states=7)) == 7
+        with pytest.raises(TooLarge, match="state budget 6 exceeded"):
+            _order_trie(orders, 3, max_states=6)
+
+    def test_many_orders_fit_the_default_limits(self):
+        # the trie of one order repeated 100 times is that order's chain
+        instance, orders = build_multiunit_instance(5)
+        order = orders.orders[0]
+        res = opt_unaware_exact(instance, FiniteOrderDistribution.uniform([order] * 100))
+        aware = opt_aware_exact(instance, order)
+        assert repr(res.value) == repr(aware.value) == "9.3671875"
+        assert res.states_expanded == aware.states_expanded
+
+    def test_twelve_elements_fit_the_default_limits(self):
+        instance, orders = build_multiunit_instance(3)
+        assert instance.n == 12
+        res = opt_unaware_exact(instance, orders)
+        assert (repr(res.value), res.states_expanded) == ("5.5625", 74)
 
     def test_long_order_solves(self):
         # no depth limit: 3.5·k(k+1) states under the default budget, and
         # (2k - OPT)/sqrt(k) lies between the independent induction's
         # 0.2906 at k = 100 and 0.2911 at k = 1,000
         instance, orders = build_multiunit_instance(300)
-        res = opt_aware_exact(instance, orders.orders[0],
-                              limits=SolverLimits(max_elements=1200))
+        res = opt_aware_exact(instance, orders.orders[0])
         assert res.states_expanded == 316_050
         assert round((600 - res.value) / np.sqrt(300), 4) == 0.2910
 
     def test_longer_order_exceeds_the_default_state_budget(self):
         instance, orders = build_multiunit_instance(1000)
         with pytest.raises(TooLarge, match="state budget 2000000"):
-            opt_aware_exact(instance, orders.orders[0],
-                            limits=SolverLimits(max_elements=4000))
+            opt_aware_exact(instance, orders.orders[0])
 
     def test_exhaustive_guards(self):
         instance = build_partition_scaled(blocks=3, block_size=3, p=0.5)
