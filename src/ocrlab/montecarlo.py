@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, ArrivalOrder,
-                   FiniteOrderDistribution, Instance, Trace, cell_draws, check_order,
-                   run_policy, sample_values, trial_rng)
+                   FiniteOrderDistribution, Instance, Trace, _cell_key, cell_draws,
+                   check_order, run_policy, sample_values, trial_rng)
 from .constructions import (_sample_tree_raw, multiunit_blocks, multiunit_orders,
                             sample_tree_order, tree_arrival_positions, tree_good_layers,
                             tree_prior)
@@ -88,8 +88,10 @@ class TreeOrders:
     fixed: int | None = None
 
     def __post_init__(self):
-        if self.fixed is not None and self.fixed < 0:
-            raise ValueError("fixed realization index must be nonnegative")
+        # ``fixed`` stands in for the trial index, so it must key a cell: a
+        # float, negative or oversized index would fail only at the first draw
+        if self.fixed is not None:
+            _cell_key(0, self.fixed, STREAM_ORDER)
 
     def order_trial(self, trial: int) -> int:
         return trial if self.fixed is None else self.fixed

@@ -97,9 +97,11 @@ class TestOrderSources:
         again, _ = pinned.realize(inst, 2, 456)
         assert order == again and "good" in side
 
-    @pytest.mark.parametrize("kwargs", [{"fixed": -1}])
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed": 1.5}, {"fixed": 2 ** 62}, {"fixed": -1}])
     def test_tree_orders_reject_bad_settings(self, kwargs):
-        # a negative index gave negative order trials
+        # a negative index gave negative order trials; a float or oversized
+        # one failed only at the first realization
         with pytest.raises(ValueError):
             TreeOrders(**kwargs)
 
