@@ -68,6 +68,8 @@ def cmd_gen(args) -> int:
     elif name == "multiunit":
         instance, orders = build_multiunit_instance(args.k)
     elif name == "nested":
+        if args.seed is None:
+            raise ValueError("--construction nested needs --seed")
         instance, orders = build_nested_instance(args.x, seed=args.seed)
     elif name == "nested-scaled":
         instance, orders = build_nested_scaled(args.k1, args.k2, args.k3,
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--blocks", type=int, default=4)
     gen.add_argument("--block-size", dest="block_size", type=int, default=4)
     gen.add_argument("--p", type=float, default=0.25)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=int,
+                     help="seed of the nested U family; the other constructions ignore it")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

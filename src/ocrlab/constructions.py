@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,24 +18,14 @@ import numpy as np
 from .core import (STREAM_ORDER, ArrivalOrder, FiniteOrderDistribution, Instance,
                    ValueDistribution, cell_draws, trial_rng)
 from .errors import ExhaustedAttempts, TooLarge
-from .feasibility import (NESTED_MAX_K1, KUniformOracle, NestedPhaseOracle,
+from .feasibility import (ELEMENT_CAP, NESTED_MAX_K1, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
                           tree_layout)
 
-DEFAULT_ELEMENT_CAP = 1_000_000
-ELEMENT_CAP_ENV = "OCRLAB_ELEMENT_CAP"
-
-
-def element_cap() -> int:
-    raw = os.environ.get(ELEMENT_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ELEMENT_CAP
-
 
 def _check_cap(n: int) -> None:
-    cap = element_cap()
-    if n > cap:
-        raise TooLarge(f"construction needs {n} elements, cap is {cap} "
-                       f"(override via {ELEMENT_CAP_ENV})")
+    if n > ELEMENT_CAP:
+        raise TooLarge(f"construction needs {n} elements, cap is {ELEMENT_CAP}")
 
 
 # --- rooted-tree instance ----------------------------------------------------
@@ -49,15 +38,13 @@ def tree_prior(k: int) -> ValueDistribution:
 def build_tree_instance(k: int) -> Instance:
     """One element per string of length 1..k over a k-letter alphabet, all
     values ``tree_prior(k)``, feasible sets = subsets of a root-leaf path."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError("k must be even and at least 2")
-    n = tree_layout(k).offsets[-1]
-    _check_cap(n)
+    oracle = TreePathOracle(k=k)  # checks k and the element cap before the layout
+    n = oracle.n
     dist = tree_prior(k)
     return Instance(
         name=f"tree-k{k}",
         dists=tuple(dist for _ in range(n)),
-        feasibility=TreePathOracle(k=k),
+        feasibility=oracle,
         metadata={"construction": "tree", "k": str(k), "n": str(n)},
     )
 

@@ -438,9 +438,10 @@ def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistributio
             if len(orders.orders[0]) != inst.n:
                 raise ValueError("order must be a permutation of all element ids")
         return inst, orders
-    except (TypeError, AttributeError) as exc:
-        # a list where an object belongs, a number where a list does, ...
-        raise ValueError(f"malformed instance file: {exc}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        # a key left out, a list where an object belongs, a number where a list does, ...
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed instance file: {what}") from exc
 
 
 def dump_instance(instance: Instance, path,

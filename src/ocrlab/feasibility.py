@@ -32,6 +32,7 @@ from .errors import EncodingOverflow, TooLarge, UnknownElement, WrongKind
 EXPLICIT_MAX_ELEMENTS = 24
 MATERIALIZE_MAX_ELEMENTS = 16
 NESTED_MAX_K1 = 20
+ELEMENT_CAP = 1_000_000  # the most elements of any construction and of the tree oracle
 
 
 def _check(e: int, n: int) -> None:
@@ -195,9 +196,11 @@ class TreePathOracle:
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
             raise ValueError("tree arity must be even and at least 2")
-        layout = tree_layout(self.k)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "n", layout.offsets[-1])
+        n = (self.k ** (self.k + 1) - self.k) // (self.k - 1)  # k + k**2 + ... + k**k
+        if n > ELEMENT_CAP:
+            raise TooLarge(f"tree k={self.k} has {n} elements, cap is {ELEMENT_CAP}")
+        object.__setattr__(self, "_layout", tree_layout(self.k))
+        object.__setattr__(self, "n", n)
 
     def __reduce__(self):
         return TreePathOracle, (self.k,)
@@ -207,9 +210,6 @@ class TreePathOracle:
         _check(e, self.n)
         layer = self._layout.layer[e]
         return layer, e - self._layout.offsets[layer - 1]
-
-    def element_id(self, layer: int, idx: int) -> int:
-        return self._layout.offsets[layer - 1] + idx
 
     def string_of(self, e: int) -> tuple[int, ...]:
         """The element's string, characters 1-based as displayed."""
@@ -395,15 +395,6 @@ def _from_bits(text: str) -> int:
     """The int spelled by a binary string, most significant bit first;
     ``int(text, 2)`` takes time linear in its length."""
     return int(text, 2) if text else 0
-
-
-def is_downward_closed(oracle) -> bool:
-    """Subset-closure check; only explicit families are inspected, the
-    structured kinds answer by construction."""
-    if isinstance(oracle, ExplicitFamilyOracle):
-        return oracle.downward_closed
-    raise WrongKind(f"{oracle.kind} answers downward-closure by construction: "
-                    f"{oracle.downward_closed}")
 
 
 def materialize(oracle, n: int | None = None) -> tuple[frozenset[int], ...]:

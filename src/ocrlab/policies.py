@@ -89,14 +89,6 @@ class GreedyPolicy(Policy):
         return (SELECT if v > 0 else DISCARD), pstate
 
 
-def always_discard_policy() -> Policy:
-    return AlwaysDiscardPolicy()
-
-
-def greedy_policy() -> Policy:
-    return GreedyPolicy()
-
-
 # --- tree policies ------------------------------------------------------------
 
 
@@ -135,7 +127,7 @@ class TreeGamblePolicy(Policy):
 
     name = "tree_gamble"
 
-    def __init__(self, l: int):
+    def __init__(self, l: int = 0):
         if l < 0:
             raise ValueError("l must be nonnegative")
         self.l = l
@@ -155,14 +147,6 @@ class TreeGamblePolicy(Policy):
                 return SELECT, (count + 1, e)
             return DISCARD, pstate
         return (SELECT if v > 0 else DISCARD), pstate
-
-
-def tree_aware_policy() -> Policy:
-    return TreeAwarePolicy()
-
-
-def tree_gamble_policy(l: int) -> Policy:
-    return TreeGamblePolicy(l)
 
 
 # --- nested-phase policies -----------------------------------------------------
@@ -260,14 +244,6 @@ class NestedGuessPolicy(Policy):
         return DISCARD, pstate
 
 
-def nested_aware_policy() -> Policy:
-    return NestedAwarePolicy()
-
-
-def nested_guess_policy(rule: str = "fixed", i: int = 0) -> Policy:
-    return NestedGuessPolicy(rule=rule, i=i)
-
-
 # --- multi-unit threshold policies ---------------------------------------------
 
 PI1, PI2, UNAWARE_COMMIT = "pi1", "pi2", "unaware"
@@ -325,71 +301,42 @@ class MultiunitThresholdPolicy(Policy):
         return (SELECT if v >= 2 else DISCARD), (a_taken, c_seen + 1)
 
 
-def multiunit_threshold_policy(d: float, variant: str) -> Policy:
-    return MultiunitThresholdPolicy(d, variant)
-
-
 # --- policy specs ---------------------------------------------------------------
+
+
+# spec name -> (policy class, its spec arguments with their parsers); an
+# argument the spec leaves out takes the default of the class's __init__
+POLICY_SPECS: dict[str, tuple[type[Policy], dict[str, Callable[[str], object]]]] = {
+    "always_discard": (AlwaysDiscardPolicy, {}),
+    "greedy": (GreedyPolicy, {}),
+    "tree_aware": (TreeAwarePolicy, {}),
+    "tree_gamble": (TreeGamblePolicy, {"l": int}),
+    "nested_aware": (NestedAwarePolicy, {}),
+    "nested_guess": (NestedGuessPolicy, {"rule": str, "i": int}),
+    "multiunit_threshold": (MultiunitThresholdPolicy, {"d": float, "variant": str}),
+}
 
 
 def parse_policy_spec(spec: str) -> Policy:
     """Build a policy from a CLI spec like
     ``multiunit_threshold:d=1.152,variant=pi1``."""
     name, _, arg_str = spec.partition(":")
-    args: dict[str, str] = {}
-    if arg_str:
-        for piece in arg_str.split(","):
-            k, _, v = piece.partition("=")
-            if not v:
-                raise ValueError(f"malformed policy argument {piece!r}")
-            args[k.strip()] = v.strip()
     try:
-        factory = _REGISTRY[name]
+        cls, parsers = POLICY_SPECS[name]
     except KeyError:
-        raise ValueError(f"unknown policy {name!r}; known: {sorted(_REGISTRY)}") from None
-    return factory(args)
-
-
-def _no_args(make: Callable[[], Policy]):
-    def build(args: dict[str, str]) -> Policy:
-        if args:
-            raise ValueError(f"policy takes no arguments, got {args}")
-        return make()
-    return build
-
-
-def _build_gamble(args):
-    l = int(args.pop("l", "0"))
-    if args:
-        raise ValueError(f"unexpected arguments {args}")
-    return tree_gamble_policy(l)
-
-
-def _build_guess(args):
-    rule = args.pop("rule", "fixed")
-    i = int(args.pop("i", "0"))
-    if args:
-        raise ValueError(f"unexpected arguments {args}")
-    return nested_guess_policy(rule=rule, i=i)
-
-
-def _build_threshold(args):
+        raise ValueError(f"unknown policy {name!r}; "
+                         f"known: {sorted(POLICY_SPECS)}") from None
+    args = {}
+    for piece in arg_str.split(",") if arg_str else ():
+        k, _, v = piece.partition("=")
+        if not v:
+            raise ValueError(f"malformed policy argument {piece!r}")
+        k = k.strip()
+        if k not in parsers:
+            raise ValueError(f"unexpected argument {k!r} for {name}, "
+                             f"which takes {sorted(parsers)}")
+        args[k] = parsers[k](v.strip())
     try:
-        d = float(args.pop("d"))
-        variant = args.pop("variant")
-    except KeyError as missing:
-        raise ValueError(f"multiunit_threshold needs argument {missing}") from None
-    if args:
-        raise ValueError(f"unexpected arguments {args}")
-    return multiunit_threshold_policy(d, variant)
-
-
-_REGISTRY: dict[str, Callable[[dict], Policy]] = {
-    "always_discard": _no_args(always_discard_policy),
-    "greedy": _no_args(greedy_policy),
-    "tree_aware": _no_args(tree_aware_policy),
-    "tree_gamble": _build_gamble,
-    "nested_aware": _no_args(nested_aware_policy),
-    "nested_guess": _build_guess,
-    "multiunit_threshold": _build_threshold,
-}
+        return cls(**args)
+    except TypeError as exc:  # every name is known, so a required one is missing
+        raise ValueError(f"{name} needs more arguments: {exc}") from None

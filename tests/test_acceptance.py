@@ -25,9 +25,8 @@ from ocrlab.constructions import (UFamily, build_multiunit_instance,
                                   build_u_family, verify_u_family)
 from ocrlab.montecarlo import (FixedOrder, TreeOrders, estimate_ratio, simulate,
                               simulate_many)
-from ocrlab.policies import (greedy_policy, multiunit_threshold_policy,
-                             nested_aware_policy, tree_aware_policy,
-                             tree_gamble_policy)
+from ocrlab.policies import (GreedyPolicy, MultiunitThresholdPolicy, NestedAwarePolicy,
+                             TreeAwarePolicy, TreeGamblePolicy)
 from ocrlab.solvers import (SolverLimits, eval_policy_exact, exhaustive_policy_search,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
@@ -67,11 +66,11 @@ C2_POLICY_NAMES = ("pi1_aware_1.152", "pi2_aware_0.674",
 @functools.lru_cache(maxsize=None)
 def _criterion2_report_text(workers: int) -> str:
     instance, orders = build_multiunit_instance(C2_K)
-    policies = [multiunit_threshold_policy(1.152, "pi1"),
-                multiunit_threshold_policy(0.674, "pi2"),
-                multiunit_threshold_policy(0.0, "unaware"),
-                multiunit_threshold_policy(0.913, "unaware"),
-                multiunit_threshold_policy(1.152, "unaware")]
+    policies = [MultiunitThresholdPolicy(1.152, "pi1"),
+                MultiunitThresholdPolicy(0.674, "pi2"),
+                MultiunitThresholdPolicy(0.0, "unaware"),
+                MultiunitThresholdPolicy(0.913, "unaware"),
+                MultiunitThresholdPolicy(1.152, "unaware")]
     doc = {}
     for tag, order in zip(("pi1", "pi2"), orders.orders):
         reports = simulate_many(policies, instance, FixedOrder(order),
@@ -109,9 +108,9 @@ def test_criterion_2_multiunit_bounds():
 def test_criterion_3_tree_finite_k_bounds():
     t0 = time.perf_counter()
     instance = build_tree_instance(4)
-    policies = ([tree_aware_policy()]
-                + [tree_gamble_policy(l) for l in range(5)]
-                + [greedy_policy()])
+    policies = ([TreeAwarePolicy()]
+                + [TreeGamblePolicy(l) for l in range(5)]
+                + [GreedyPolicy()])
     reports = simulate_many(policies, instance, TreeOrders(),
                             trials=100_000, seed=SEED, workers=1)
     elapsed = time.perf_counter() - t0
@@ -143,8 +142,8 @@ def test_criterion_3_tree_order_ratio_clause():
         return estimate_ratio(policy, instance, sources, trials=trials, seed=SEED,
                               references=references)
 
-    aware_refs = [tree_aware_policy()] * len(sources)
-    best = greedy_policy()  # highest mean among the unaware policies tested above
+    aware_refs = [TreeAwarePolicy()] * len(sources)
+    best = GreedyPolicy()  # highest mean among the unaware policies tested above
     est = per_order(best, 100_000, optima)
     assert not est.denominator_is_lower_bound
     ratios = [r.ratio for r in est.rows]
@@ -155,13 +154,13 @@ def test_criterion_3_tree_order_ratio_clause():
           f"mean {sum(ratios) / len(ratios):.4f}")
     # greedy's per-order means are the numerators above; only tree_aware is
     # simulated, on the same trials and seed of each order
-    aware_means = [simulate(tree_aware_policy(), instance, src, row.numerator.trials,
+    aware_means = [simulate(TreeAwarePolicy(), instance, src, row.numerator.trials,
                             SEED).mean for src, row in zip(sources, est.rows)]
     ctx_min = min(row.numerator.mean / m for row, m in zip(est.rows, aware_means))
     print(f"context, {best.name} vs the tree_aware policy (a lower bound on the "
           f"optimum): min ratio {ctx_min:.4f}")
-    for name, policy in (("tree_gamble_l1", tree_gamble_policy(1)),
-                         ("tree_gamble_l0", tree_gamble_policy(0))):
+    for name, policy in (("tree_gamble_l1", TreeGamblePolicy(1)),
+                         ("tree_gamble_l0", TreeGamblePolicy(0))):
         ctx = per_order(policy, 20_000, aware_refs)
         print(f"context, weaker policy {name} vs tree_aware: min ratio {ctx.min_ratio:.4f}")
     # the numerator solved exactly too: no Monte Carlo error on either side
@@ -189,7 +188,7 @@ def test_criterion_4_nested_exact():
     aware_target = 1.0 - 0.9 ** 8
     aware_vals = []
     for order in orders.orders:
-        val = eval_policy_exact(nested_aware_policy(), instance, order)
+        val = eval_policy_exact(NestedAwarePolicy(), instance, order)
         assert abs(val - aware_target) <= 1e-9
         aware_vals.append(val)
         opt = opt_aware_exact(instance, order).value
@@ -270,7 +269,7 @@ def test_criterion_7_ordering_relations():
         for v in aware_vals:
             assert prophet >= v - 1e-9
         assert aware_avg >= unaware - 1e-9
-        for policy in (greedy_policy(),):
+        for policy in (GreedyPolicy(),):
             val = sum(w * eval_policy_exact(policy, instance, o)
                       for w, o in zip(orders.weights, orders.orders))
             assert unaware >= val - 1e-9

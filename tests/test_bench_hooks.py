@@ -10,8 +10,8 @@ from pathlib import Path
 from ocrlab.constructions import build_multiunit_instance, build_tree_instance
 from ocrlab.montecarlo import (CHUNK_SIZE, FixedOrder, TreeOrders, collect_traces,
                                simulate_many)
-from ocrlab.policies import (greedy_policy, multiunit_threshold_policy, tree_aware_policy,
-                             tree_gamble_policy)
+from ocrlab.policies import (GreedyPolicy, MultiunitThresholdPolicy, TreeAwarePolicy,
+                             TreeGamblePolicy)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,13 +26,13 @@ def _tracing():
 def test_hooks_install_run_one_generic_trial_and_uninstall():
     tracing = _tracing()
     instance = build_tree_instance(2)
-    plain = collect_traces(greedy_policy(), instance, TreeOrders(), trials=1, seed=3)
+    plain = collect_traces(GreedyPolicy(), instance, TreeOrders(), trials=1, seed=3)
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
     try:
         for owner, attr, original in saved:
             assert vars(owner)[attr] is not original, (owner, attr)
-        traced = collect_traces(greedy_policy(), instance, TreeOrders(), trials=1, seed=3)
+        traced = collect_traces(GreedyPolicy(), instance, TreeOrders(), trials=1, seed=3)
     finally:
         tracing.uninstall(saved)
     for owner, attr, original in saved:
@@ -48,7 +48,7 @@ def test_hooks_see_the_multiunit_fast_path():
     # re-keys one Philox per chunk and builds no ``trial_rng`` generator
     tracing = _tracing()
     instance, orders = build_multiunit_instance(5)
-    policies = [multiunit_threshold_policy(0.913, v) for v in ("pi1", "pi2", "unaware")]
+    policies = [MultiunitThresholdPolicy(0.913, v) for v in ("pi1", "pi2", "unaware")]
     source = FixedOrder(orders.orders[1])
     trials = CHUNK_SIZE + 10
     plain = simulate_many(policies, instance, source, trials=trials, seed=6)
@@ -70,7 +70,7 @@ def test_hooks_see_the_batched_tree_path():
     # builds no ``trial_rng`` generator
     tracing = _tracing()
     instance = build_tree_instance(2)
-    policies = [tree_aware_policy(), tree_gamble_policy(0), greedy_policy()]
+    policies = [TreeAwarePolicy(), TreeGamblePolicy(0), GreedyPolicy()]
     trials = CHUNK_SIZE + 10
     for source in (TreeOrders(), TreeOrders(fixed=3)):
         plain = simulate_many(policies, instance, source, trials=trials, seed=4)
@@ -92,8 +92,8 @@ def test_generic_tree_run_draws_no_unused_policy_streams():
     # its value generator (its order is drawn by ``core.cell_draws``)
     tracing = _tracing()
     instance = build_tree_instance(2)
-    policies = ([tree_aware_policy(), greedy_policy()]
-                + [tree_gamble_policy(l) for l in range(5)])
+    policies = ([TreeAwarePolicy(), GreedyPolicy()]
+                + [TreeGamblePolicy(l) for l in range(5)])
     trials = 5
     plain = simulate_many(policies, instance, TreeOrders(), trials=trials, seed=4, fast=False)
     tracer = tracing.Tracer()

@@ -316,6 +316,56 @@ class TestExitCodes:
         summary = json.loads(out)
         assert summary["n"] == 22 and summary["orders"] == 4
 
+    def test_resource_error_on_a_tree_over_the_element_cap(self, tmp_path, capsys):
+        # k = 8 has 19,173,960 elements; the cap is checked before any is built
+        path = tmp_path / "t8.json"
+        code, out, err = run(capsys, "gen", "--construction", "tree", "--k", "8",
+                             "--out", str(path))
+        assert code == RESOURCE_ERROR and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "19173960" in err
+
+    def test_resource_error_on_loading_a_tree_over_the_element_cap(self, tmp_path, capsys):
+        src = tmp_path / "t.json"
+        assert run(capsys, "gen", "--construction", "tree", "--k", "2",
+                   "--out", str(src))[0] == 0
+        doc = json.loads(src.read_text())
+        doc["feasibility"]["params"]["k"] = 8
+        big = tmp_path / "t8.json"
+        big.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--what", "instance", "--instance", str(big))
+        assert code == RESOURCE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "19173960" in err
+
+    @pytest.mark.parametrize("key", ["id", "name"])
+    def test_usage_error_on_a_missing_key(self, pairs_file, tmp_path, capsys, key):
+        with open(pairs_file) as fh:
+            doc = json.load(fh)
+        if key == "id":
+            del doc["elements"][0]["id"]
+        else:
+            del doc["name"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--instance", str(bad), "--policy", "greedy",
+                             "--order", "0", "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: malformed instance file: missing key '{key}'\n"
+
+    def test_gen_nested_needs_a_seed(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "--construction", "nested", "--x", "2",
+                             "--out", str(tmp_path / "n.json"))
+        assert code == USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+
+    def test_gen_tree_without_a_seed(self, tmp_path, capsys):
+        texts = []
+        for seed in ([], ["--seed", "7"]):
+            path = tmp_path / f"t{len(seed)}.json"
+            assert run(capsys, "gen", "--construction", "tree", "--k", "2", *seed,
+                       "--out", str(path))[0] == 0
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_gen_nested_scaled_ignores_the_seed(self, tmp_path, capsys):
         texts = []
         for seed in ("0", "7"):

@@ -5,18 +5,19 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ocrlab.constructions import (ELEMENT_CAP_ENV, UFamily, build_multiunit_instance,
+from ocrlab.constructions import (UFamily, build_multiunit_instance,
                                   build_nested_instance, build_nested_scaled,
                                   build_pairs_instance, build_partition_instance,
                                   build_partition_scaled, build_tree_instance,
                                   build_u_family, sample_tree_order,
                                   tree_arrival_positions, verify_u_family)
 from ocrlab.errors import ExhaustedAttempts, TooLarge
-from ocrlab.feasibility import tree_layout
+from ocrlab.feasibility import ELEMENT_CAP, tree_layout
 from ocrlab.policies import decode_nested_index
 
 
@@ -222,8 +223,17 @@ class TestCalibration:
         assert all(d.mean() == pytest.approx(1.0 / 6.0) for d in inst.dists[3:])
 
 
-def test_element_cap_env_override(monkeypatch):
-    monkeypatch.setenv(ELEMENT_CAP_ENV, "10")
-    with pytest.raises(TooLarge):
-        build_multiunit_instance(3)  # 12 elements > cap 10
-    build_tree_instance(2)  # 6 elements still fits
+def test_one_element_cap():
+    # checked before any element is built: 1,000,004 multi-unit elements
+    # would take tens of MB, the refusal takes almost none
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="1000004"):
+            build_multiunit_instance(ELEMENT_CAP // 4 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(TooLarge, match="19173960"):
+        build_tree_instance(8)
+    build_tree_instance(2)  # 6 elements fit

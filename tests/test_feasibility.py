@@ -15,8 +15,8 @@ from ocrlab.errors import (EncodingOverflow, TooLarge, UnknownElement, WrongKind
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle,
                                 NestedPhaseOracle, PairMatchOracle,
                                 PartitionOneBlockOracle, TreePathOracle,
-                                is_downward_closed, materialize, oracle_from_json,
-                                oracle_to_json, tree_layout)
+                                materialize, oracle_from_json, oracle_to_json,
+                                tree_layout)
 
 
 def brute_can_extend(family, n, sel, dis, pin):
@@ -107,7 +107,16 @@ class TestTreeLayout:
         assert oracle.parent(3) == 0
         assert oracle.parent(5) == 1
         assert oracle.layer_index(4) == (2, 2)
-        assert oracle.element_id(2, 2) == 4
+        assert tree_layout(2).offsets[2 - 1] + 2 == 4  # layer 2, index 2
+
+    def test_tree_over_the_element_cap(self):
+        # k = 8 has 19,173,960 elements: refused before its layout is built
+        layouts = tree_layout.cache_info().currsize
+        with pytest.raises(TooLarge, match="19173960"):
+            TreePathOracle(k=8)
+        with pytest.raises(TooLarge):
+            oracle_from_json({"kind": "tree_path", "params": {"k": 8}})
+        assert tree_layout.cache_info().currsize == layouts
 
     def test_comparability(self):
         oracle = TreePathOracle(k=2)
@@ -242,7 +251,7 @@ class TestDownwardClosure:
     def test_explicit_family_inspection(self):
         closed = ExplicitFamilyOracle(n=2, sets=(frozenset(), frozenset({0}),
                                                  frozenset({1}), frozenset({0, 1})))
-        assert is_downward_closed(closed)
+        assert closed.downward_closed
         gap = ExplicitFamilyOracle(n=2, sets=(frozenset(), frozenset({0, 1})))
         assert not gap.downward_closed
 
@@ -250,8 +259,6 @@ class TestDownwardClosure:
         assert KUniformOracle(n=3, k=1).downward_closed
         assert not PairMatchOracle(k=2).downward_closed
         assert not nested_demo().downward_closed
-        with pytest.raises(WrongKind):
-            is_downward_closed(PairMatchOracle(k=2))
 
 
 @pytest.mark.parametrize("oracle", [

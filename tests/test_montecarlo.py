@@ -16,8 +16,7 @@ from ocrlab.montecarlo import (CHUNK_SIZE, TRACE_CAP, FixedOrder, SampledOrders,
                                TreeOrders, _pick_engine, _random_block_twos,
                                collect_traces, estimate_ratio, simulate,
                                simulate_many)
-from ocrlab.policies import (greedy_policy, multiunit_threshold_policy,
-                             tree_aware_policy)
+from ocrlab.policies import GreedyPolicy, MultiunitThresholdPolicy, TreeAwarePolicy
 
 
 def bernoulli_instance(p=0.3):
@@ -28,7 +27,7 @@ def bernoulli_instance(p=0.3):
 class TestDeterminism:
     def test_worker_count_is_invisible_generic_path(self):
         inst, orders = build_multiunit_instance(3)
-        policy = greedy_policy()
+        policy = GreedyPolicy()
         trials = 3 * CHUNK_SIZE + 100  # force several chunks, one ragged
         serial = simulate(policy, inst, FixedOrder(orders.orders[0]),
                           trials=trials, seed=5, workers=1, fast=False)
@@ -38,15 +37,15 @@ class TestDeterminism:
 
     def test_worker_count_is_invisible_tree_path(self):
         inst = build_tree_instance(2)
-        serial = simulate(tree_aware_policy(), inst, TreeOrders(),
+        serial = simulate(TreeAwarePolicy(), inst, TreeOrders(),
                           trials=2 * CHUNK_SIZE + 7, seed=9, workers=1)
-        parallel = simulate(tree_aware_policy(), inst, TreeOrders(),
+        parallel = simulate(TreeAwarePolicy(), inst, TreeOrders(),
                             trials=2 * CHUNK_SIZE + 7, seed=9, workers=3)
         assert serial == parallel
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
-            simulate(greedy_policy(), bernoulli_instance(), (0,), trials=1, seed=0)
+            simulate(GreedyPolicy(), bernoulli_instance(), (0,), trials=1, seed=0)
 
 
 class TestEstimates:
@@ -54,7 +53,7 @@ class TestEstimates:
         # 1000 independent estimates of a Bernoulli(0.3) mean: the nominal
         # 95% interval must cover the truth in line with its confidence level
         inst = bernoulli_instance(0.3)
-        policy = greedy_policy()
+        policy = GreedyPolicy()
         covered = 0
         for meta in range(1000):
             rep = simulate(policy, inst, (0,), trials=200, seed=meta)
@@ -62,7 +61,7 @@ class TestEstimates:
         assert covered >= 920  # > 3 sigma below the nominal 950
 
     def test_report_fields(self):
-        rep = simulate(greedy_policy(), bernoulli_instance(), (0,),
+        rep = simulate(GreedyPolicy(), bernoulli_instance(), (0,),
                        trials=500, seed=3)
         doc = rep.as_dict()
         assert doc["trials"] == 500 and doc["seed"] == 3
@@ -73,7 +72,7 @@ class TestEstimates:
         # simulate_many evaluates all policies on the same trial draws, so a
         # duplicated policy reports exactly the same numbers
         inst, orders = build_multiunit_instance(4)
-        a, b = (multiunit_threshold_policy(0.913, "unaware") for _ in range(2))
+        a, b = (MultiunitThresholdPolicy(0.913, "unaware") for _ in range(2))
         rep_a, rep_b = simulate_many([a, b], inst, FixedOrder(orders.orders[0]),
                                      trials=400, seed=1)
         assert rep_a == rep_b
@@ -113,9 +112,9 @@ class TestOrderSources:
         short = SampledOrders(FiniteOrderDistribution.uniform([(0, 1), (1, 0)]))
         for source in (FixedOrder((0, 1)), (0, 1), short):
             with pytest.raises(ValueError):
-                simulate(greedy_policy(), inst, source, trials=2, seed=0)
+                simulate(GreedyPolicy(), inst, source, trials=2, seed=0)
             with pytest.raises(ValueError):
-                collect_traces(greedy_policy(), inst, source, trials=2, seed=0)
+                collect_traces(GreedyPolicy(), inst, source, trials=2, seed=0)
 
 
 def _edited(instance, first, stop, dist):
@@ -140,8 +139,8 @@ class TestFastPaths:
         inst, orders = build_multiunit_instance(3)
         tree = build_tree_instance(2)
         for built, policy, source in (
-                (inst, multiunit_threshold_policy(0.913, "pi2"), FixedOrder(orders.orders[1])),
-                (tree, greedy_policy(), TreeOrders())):
+                (inst, MultiunitThresholdPolicy(0.913, "pi2"), FixedOrder(orders.orders[1])),
+                (tree, GreedyPolicy(), TreeOrders())):
             path = tmp_path / f"{built.name}.json"
             dump_instance(built, path)
             loaded, _ = load_instance(path)
@@ -156,9 +155,9 @@ class TestFastPaths:
         tree = build_tree_instance(2)
         cases = [
             (_edited(inst, 2 * k, 4 * k, ValueDistribution(((0.0, 0.5), (3.0, 0.5)))),
-             multiunit_threshold_policy(0.913, "pi2"), FixedOrder(orders.orders[1])),
+             MultiunitThresholdPolicy(0.913, "pi2"), FixedOrder(orders.orders[1])),
             (_edited(tree, 0, 1, ValueDistribution.bernoulli(0.9)),
-             greedy_policy(), TreeOrders()),
+             GreedyPolicy(), TreeOrders()),
         ]
         for edited, policy, source in cases:
             assert _pick_engine(edited, [policy], source, True)[0] == "generic"
@@ -169,7 +168,7 @@ class TestFastPaths:
     def test_non_canonical_multiunit_order_takes_the_generic_engine(self):
         # the closed form holds on the construction's two orders only
         inst, orders = build_multiunit_instance(4)
-        policies = [multiunit_threshold_policy(0.913, v) for v in ("pi1", "pi2", "unaware")]
+        policies = [MultiunitThresholdPolicy(0.913, v) for v in ("pi1", "pi2", "unaware")]
         source = FixedOrder(orders.orders[0][::-1])
         assert _pick_engine(inst, policies, source, True) == ("generic", None)
         fast = simulate_many(policies, inst, source, trials=300, seed=2)
@@ -182,7 +181,7 @@ class TestFastPaths:
 class TestTraces:
     def test_collect_traces_is_capped(self):
         inst = bernoulli_instance()
-        traces = collect_traces(greedy_policy(), inst, (0,),
+        traces = collect_traces(GreedyPolicy(), inst, (0,),
                                 trials=TRACE_CAP + 50, seed=0)
         assert len(traces) == TRACE_CAP
         assert all(len(t.steps) == 1 for t in traces)
@@ -191,7 +190,7 @@ class TestTraces:
 class TestRatioEstimation:
     def test_exact_reference_denominators(self):
         inst, orders = build_multiunit_instance(4)
-        policy = multiunit_threshold_policy(0.913, "unaware")
+        policy = MultiunitThresholdPolicy(0.913, "unaware")
         est = estimate_ratio(policy, inst, orders, trials=2000, seed=2,
                              references=[7.0, 8.0])
         assert not est.denominator_is_lower_bound
@@ -202,7 +201,7 @@ class TestRatioEstimation:
 
     def test_policy_reference_is_flagged_and_paired(self):
         inst, orders = build_multiunit_instance(4)
-        policy = multiunit_threshold_policy(0.913, "pi1")
+        policy = MultiunitThresholdPolicy(0.913, "pi1")
         est = estimate_ratio(policy, inst, orders, trials=2000, seed=2,
                              references=policy)
         assert est.denominator_is_lower_bound
@@ -215,12 +214,12 @@ class TestRatioEstimation:
     def test_reference_count_must_match_orders(self):
         inst, orders = build_multiunit_instance(4)
         with pytest.raises(ValueError):
-            estimate_ratio(greedy_policy(), inst, orders, trials=100, seed=0,
+            estimate_ratio(GreedyPolicy(), inst, orders, trials=100, seed=0,
                            references=[1.0])
 
     def test_zero_reference_is_excluded_with_warning(self):
         inst, orders = build_multiunit_instance(4)
-        est = estimate_ratio(greedy_policy(), inst, orders, trials=100, seed=0,
+        est = estimate_ratio(GreedyPolicy(), inst, orders, trials=100, seed=0,
                              references=[0.0, 5.0])
         assert est.rows[0].ratio is None and est.warnings
         assert est.min_ratio == est.rows[1].ratio

@@ -18,11 +18,10 @@ from ocrlab.errors import BadThreshold, DecodeFailure, MissingLabels
 from ocrlab.feasibility import KUniformOracle, NestedPhaseOracle, PairMatchOracle
 from ocrlab.montecarlo import CHUNK_SIZE, TREE_BLOCK_CELLS, FixedOrder, TreeOrders, \
     simulate_many
-from ocrlab.policies import (Knowledge, MultiunitThresholdPolicy, always_discard_policy,
-                             decode_nested_index, greedy_policy, multiunit_threshold_policy,
-                             nested_aware_policy, nested_guess_policy,
-                             parse_policy_spec, tree_aware_policy,
-                             tree_gamble_policy)
+from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
+                             MultiunitThresholdPolicy, NestedAwarePolicy,
+                             NestedGuessPolicy, TreeAwarePolicy, TreeGamblePolicy,
+                             decode_nested_index, parse_policy_spec)
 from ocrlab.solvers import eval_policy_exact
 
 
@@ -36,12 +35,12 @@ class TestKnowledge:
     def test_aware_policy_requires_aware_knowledge(self):
         inst = build_tree_instance(2)
         with pytest.raises(MissingLabels):
-            tree_aware_policy().start(inst, Knowledge.unaware())
+            TreeAwarePolicy().start(inst, Knowledge.unaware())
 
     def test_tree_aware_requires_labels(self):
         inst = build_tree_instance(2)
         with pytest.raises(MissingLabels):
-            tree_aware_policy().start(inst, Knowledge.aware((0, 1, 2, 3, 4, 5)))
+            TreeAwarePolicy().start(inst, Knowledge.aware((0, 1, 2, 3, 4, 5)))
 
 
 class TestStateMachines:
@@ -54,14 +53,14 @@ class TestStateMachines:
         nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.5)
         unaware = Knowledge.unaware()
         cases = [
-            (tree_aware_policy(), tree, tree_order, Knowledge.aware(tree_order, **side)),
-            (tree_gamble_policy(2), tree, tree_order, unaware),
-            (greedy_policy(), tree, tree_order, unaware),
-            (multiunit_threshold_policy(0.913, "unaware"), multi, multi_orders.orders[1],
+            (TreeAwarePolicy(), tree, tree_order, Knowledge.aware(tree_order, **side)),
+            (TreeGamblePolicy(2), tree, tree_order, unaware),
+            (GreedyPolicy(), tree, tree_order, unaware),
+            (MultiunitThresholdPolicy(0.913, "unaware"), multi, multi_orders.orders[1],
              unaware),
-            (nested_aware_policy(), nested, nested_orders.orders[1],
+            (NestedAwarePolicy(), nested, nested_orders.orders[1],
              Knowledge.aware(nested_orders.orders[1])),
-            (nested_guess_policy(rule="uniform"), nested, nested_orders.orders[1], unaware),
+            (NestedGuessPolicy(rule="uniform"), nested, nested_orders.orders[1], unaware),
         ]
         for policy, inst, order, kn in cases:
             def start():
@@ -86,6 +85,14 @@ class TestPolicySpecs:
         assert parse_policy_spec("greedy").name == "greedy"
         assert not parse_policy_spec("multiunit_threshold:d=0,variant=unaware").aware
 
+    def test_left_out_arguments_take_the_class_defaults(self):
+        for spec, policy in (("tree_gamble", TreeGamblePolicy()),
+                             ("nested_guess", NestedGuessPolicy()),
+                             ("nested_guess:rule=uniform", NestedGuessPolicy(rule="uniform"))):
+            parsed = parse_policy_spec(spec)
+            assert type(parsed) is type(policy) and vars(parsed) == vars(policy)
+        assert TreeGamblePolicy().name == "tree_gamble_l0"
+
     def test_rejects_malformed_specs(self):
         for spec in ("mystery", "greedy:x=1", "multiunit_threshold:d=1",
                      "multiunit_threshold:d=1,variant=pi1,extra=2",
@@ -97,17 +104,17 @@ class TestPolicySpecs:
 class TestMultiunitThreshold:
     def test_threshold_validation(self):
         with pytest.raises(BadThreshold):
-            multiunit_threshold_policy(-0.1, "pi1")
+            MultiunitThresholdPolicy(-0.1, "pi1")
         with pytest.raises(ValueError):
-            multiunit_threshold_policy(1.0, "pi3")
+            MultiunitThresholdPolicy(1.0, "pi3")
         inst, orders = build_multiunit_instance(2)
-        big = multiunit_threshold_policy(10.0, "pi1")  # m = 10 > k = 2
+        big = MultiunitThresholdPolicy(10.0, "pi1")  # m = 10 > k = 2
         with pytest.raises(BadThreshold):
             big.start(inst, Knowledge.aware(orders.orders[0]))
 
     def test_fast_path_matches_generic_bit_exactly(self):
         # odd k leaves 2k mod 4 = 2 words of a Philox step before the random block
-        policies = [multiunit_threshold_policy(d, variant)
+        policies = [MultiunitThresholdPolicy(d, variant)
                     for d in (0.0, 0.674, 0.913, 1.152)
                     for variant in ("pi1", "pi2", "unaware")]
         for k in (1, 3, 5, 6):
@@ -123,7 +130,7 @@ class TestMultiunitThreshold:
         # an unaware rule must act identically on identical (element, value)
         # history prefixes; the two canonical orders share the length-k prefix
         inst, orders = build_multiunit_instance(5)
-        policy = multiunit_threshold_policy(0.913, "unaware")
+        policy = MultiunitThresholdPolicy(0.913, "unaware")
         k = 5
         for trial in range(20):
             values = sample_values(inst, 8, trial)
@@ -138,7 +145,7 @@ class TestMultiunitThreshold:
         # on a-then-c-then-b, the committed rule may buy units once all 2k
         # c-values are seen; on a-then-b-then-c it must refuse every unit
         inst, orders = build_multiunit_instance(4)
-        policy = multiunit_threshold_policy(0.0, "unaware")
+        policy = MultiunitThresholdPolicy(0.0, "unaware")
         values = np.array([1.75] * 4 + [1.0] * 4 + [0.0] * 8)  # every c worth 0
         pstate = policy.start(inst, Knowledge.unaware())
         pi2_total = run_policy(policy, inst, orders.orders[1], values, pstate).total
@@ -150,7 +157,7 @@ class TestMultiunitThreshold:
         # decide assumes capacity is left, which only the k-uniform oracle
         # with the instance's k guarantees
         inst, orders = build_multiunit_instance(3)
-        policy = multiunit_threshold_policy(0.913, "unaware")
+        policy = MultiunitThresholdPolicy(0.913, "unaware")
         policy.start(inst, Knowledge.unaware())
         for oracle in (KUniformOracle(n=12, k=2), PairMatchOracle(k=6)):
             bad = dataclasses.replace(inst, feasibility=oracle)
@@ -161,7 +168,7 @@ class TestMultiunitThreshold:
 class TestTreePolicies:
     def test_gamble_validation(self):
         with pytest.raises(ValueError):
-            tree_gamble_policy(-1)
+            TreeGamblePolicy(-1)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_fast_walkers_match_generic_bit_exactly(self, k):
@@ -169,8 +176,8 @@ class TestTreePolicies:
         # k = 2 spans two chunks; k = 4 spans several of the fast path's trial blocks
         trials = CHUNK_SIZE + 10 if k == 2 else 300
         assert trials > min(CHUNK_SIZE, TREE_BLOCK_CELLS // inst.n)
-        policies = ([tree_aware_policy(), greedy_policy(), always_discard_policy()]
-                    + [tree_gamble_policy(l) for l in range(k + 1)])
+        policies = ([TreeAwarePolicy(), GreedyPolicy(), AlwaysDiscardPolicy()]
+                    + [TreeGamblePolicy(l) for l in range(k + 1)])
         for src in (TreeOrders(), TreeOrders(fixed=5)):
             fast = simulate_many(policies, inst, src, trials=trials, seed=6, fast=True)
             slow = simulate_many(policies, inst, src, trials=trials, seed=6, fast=False)
@@ -183,7 +190,7 @@ class TestTreePolicies:
         # chunk's only block has nothing to rank
         inst = build_tree_instance(2)
         assert not sample_values(inst, 16, CHUNK_SIZE).any()
-        policies = [tree_aware_policy(), greedy_policy(), tree_gamble_policy(1)]
+        policies = [TreeAwarePolicy(), GreedyPolicy(), TreeGamblePolicy(1)]
         fast = simulate_many(policies, inst, TreeOrders(), trials=CHUNK_SIZE + 1, seed=16)
         slow = simulate_many(policies, inst, TreeOrders(), trials=CHUNK_SIZE + 1, seed=16,
                              fast=False)
@@ -195,7 +202,7 @@ class TestNestedPolicies:
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         target = 1.0 - 0.9 ** 8
         for order in orders.orders:
-            val = eval_policy_exact(nested_aware_policy(), inst, order)
+            val = eval_policy_exact(NestedAwarePolicy(), inst, order)
             assert val == pytest.approx(target, abs=1e-12)
 
     def test_aware_completes_the_b_it_holds_whether_decided_or_forced(self):
@@ -211,7 +218,7 @@ class TestNestedPolicies:
         # c0 before the B block decodes index 1; b2 is decided as worth 1,
         # or forced as the last B after the others are declined
         for order in ((c0, b2, b0, b1, b3, c2, c1, a0), (c0, b0, b1, b3, b2, c2, c1, a0)):
-            policy = nested_aware_policy()
+            policy = NestedAwarePolicy()
             pstate = policy.start(inst, Knowledge.aware(order))
             trace = run_policy(policy, inst, order, values, pstate)
             assert trace.selected_ids() == {a0, b2, c2}, order
@@ -220,16 +227,16 @@ class TestNestedPolicies:
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         # guessing the realized index recovers the aware value; any other
         # guess only ever gets the single surviving unit element
-        right = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[2])
-        wrong = eval_policy_exact(nested_guess_policy(i=2), inst, orders.orders[0])
+        right = eval_policy_exact(NestedGuessPolicy(i=2), inst, orders.orders[2])
+        wrong = eval_policy_exact(NestedGuessPolicy(i=2), inst, orders.orders[0])
         assert right == pytest.approx(1.0 - 0.9 ** 8, abs=1e-12)
         assert wrong == pytest.approx(0.1, abs=1e-12)
 
     def test_uniform_guess_needs_rng(self):
         inst, _ = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         with pytest.raises(ValueError):
-            nested_guess_policy(rule="uniform").start(inst, Knowledge.unaware())
-        policy = nested_guess_policy(rule="uniform")
+            NestedGuessPolicy(rule="uniform").start(inst, Knowledge.unaware())
+        policy = NestedGuessPolicy(rule="uniform")
         policy.start(inst, Knowledge.unaware(), rng=trial_rng(0, 0, 2))
 
     def test_uniform_guess_draws_a_fresh_stream_per_policy(self):

@@ -19,10 +19,9 @@ from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
 from ocrlab.errors import InconsistentState, PolicyViolation, TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
-from ocrlab.policies import (GreedyPolicy, Knowledge, always_discard_policy,
-                             greedy_policy, multiunit_threshold_policy,
-                             nested_aware_policy, nested_guess_policy,
-                             tree_gamble_policy)
+from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
+                             MultiunitThresholdPolicy, NestedAwarePolicy,
+                             NestedGuessPolicy, TreeGamblePolicy)
 from ocrlab.solvers import (SolverLimits, SolveResult, _expectimax,
                             _iter_realizations, _order_trie, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
@@ -324,21 +323,21 @@ class TestPolicyEvaluation:
         rng = np.random.default_rng(7)  # criterion 7's micro-instances
         for _ in range(50):
             instance, orders = random_micro_instance(rng)
-            cases += [(greedy_policy(), instance, o) for o in orders.orders]
+            cases += [(GreedyPolicy(), instance, o) for o in orders.orders]
         # criterion 4's nested orders, with the aware policy and every guess
         nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         for order in nested_orders.orders:
             cases += [(p, nested, order) for p in
-                      [nested_aware_policy()] + [nested_guess_policy(i=i) for i in range(4)]]
+                      [NestedAwarePolicy()] + [NestedGuessPolicy(i=i) for i in range(4)]]
         tree = build_tree_instance(2)
         for trial in range(8):
             order = sample_tree_order(tree, 2026, trial).order
             cases += [(p, tree, order) for p in
-                      (greedy_policy(), always_discard_policy(), tree_gamble_policy(0),
-                       tree_gamble_policy(1), tree_gamble_policy(2))]
+                      (GreedyPolicy(), AlwaysDiscardPolicy(), TreeGamblePolicy(0),
+                       TreeGamblePolicy(1), TreeGamblePolicy(2))]
         multi, multi_orders = build_multiunit_instance(3)
         for order in multi_orders.orders:
-            cases += [(multiunit_threshold_policy(d, v), multi, order)
+            cases += [(MultiunitThresholdPolicy(d, v), multi, order)
                       for d in (0.913, 1.152) for v in ("pi1", "pi2", "unaware")]
         for policy, instance, order in cases:
             assert eval_policy_exact(policy, instance, order) == pytest.approx(
@@ -359,20 +358,20 @@ class TestPolicyEvaluation:
 
         stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck(n=inst.n, k=1))
         with pytest.raises(InconsistentState):
-            eval_policy_exact(greedy_policy(), stuck, tuple(range(inst.n)))
+            eval_policy_exact(GreedyPolicy(), stuck, tuple(range(inst.n)))
 
     def test_greedy_on_capacity_one(self):
         dists = (ValueDistribution.bernoulli(0.5, hi=2.0),
                  ValueDistribution.deterministic(1.0))
         inst = Instance(name="cap1", dists=dists, feasibility=KUniformOracle(n=2, k=1))
         # greedy takes the first positive value: 2 w.p. 1/2, else the unit
-        val = eval_policy_exact(greedy_policy(), inst, (0, 1))
+        val = eval_policy_exact(GreedyPolicy(), inst, (0, 1))
         assert val == pytest.approx(1.5, abs=1e-12)
 
     def test_ratio_exact_report(self):
         rng = np.random.default_rng(31)
         instance, orders = random_micro_instance(rng, max_orders=2)
-        report = ratio_exact(instance, orders, greedy_policy())
+        report = ratio_exact(instance, orders, GreedyPolicy())
         assert len(report.rows) == len(orders.orders)
         assert report.prophet >= max(r.opt_aware for r in report.rows) - 1e-9
         for row in report.rows:
@@ -385,7 +384,7 @@ class TestPolicyEvaluation:
         inst = Instance(name="null", dists=dists, feasibility=KUniformOracle(n=1, k=1))
         orders = FiniteOrderDistribution.uniform([(0,)])
         with pytest.warns(UserWarning):
-            report = ratio_exact(inst, orders, greedy_policy())
+            report = ratio_exact(inst, orders, GreedyPolicy())
         assert report.rows[0].ratio is None
         assert report.min_ratio is None and report.warnings
 
@@ -395,10 +394,10 @@ class TestPolicyEvaluation:
         order = sample_tree_order(tree, 2026, 0).order
         with pytest.warns(UserWarning, match="prophet"):
             report = ratio_exact(tree, FiniteOrderDistribution.uniform([order]),
-                                 greedy_policy())
+                                 GreedyPolicy())
         assert report.prophet is None and report.competitive_ratio is None
         assert report.warnings
-        alg = eval_policy_exact(greedy_policy(), tree, order)
+        alg = eval_policy_exact(GreedyPolicy(), tree, order)
         assert report.min_ratio == alg / opt_aware_exact(tree, order).value
 
 
@@ -480,8 +479,8 @@ class TestGuards:
         # selection or none, None), 1, 2, ..., 6 of them at the six positions
         instance = build_tree_instance(2)
         order = tuple(range(instance.n))
-        eval_policy_exact(greedy_policy(), instance, order,
+        eval_policy_exact(GreedyPolicy(), instance, order,
                           limits=SolverLimits(max_states=21))
         with pytest.raises(TooLarge, match="state budget 20"):
-            eval_policy_exact(greedy_policy(), instance, order,
+            eval_policy_exact(GreedyPolicy(), instance, order,
                               limits=SolverLimits(max_states=20))
