@@ -98,8 +98,6 @@ def cmd_gen(args) -> int:
 def _order_source(args, instance, orders):
     mode = args.order
     if mode == "tree":
-        if instance.metadata.get("construction") != "tree":
-            raise ValueError("--order tree only applies to tree instances")
         return TreeOrders()
     if mode == "sampled":
         if orders is None:
@@ -186,7 +184,7 @@ def cmd_exact(args) -> int:
             raise ValueError("unaware mode needs an instance file with orders")
         result = opt_unaware_exact(instance, orders, limits=limits)
     else:
-        result = prophet_exact(instance, limits=limits)
+        result = prophet_exact(instance)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     config = {"instance": instance.name, "mode": args.mode,
               "order": args.order if args.mode == "aware" else None}

@@ -160,7 +160,7 @@ def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrde
     """Draw the r-subsets, expand the arrival order (``_expand_tree_order``),
     and label every element good or bad (good = every branching step lies
     in its node's r-subset)."""
-    k = int(instance.metadata["k"])
+    k = instance.feasibility.k
     offs = tree_layout(k).offsets
     in_r = _sample_tree_raw(k, seed, [trial])[0]
     order = _expand_tree_order(
@@ -275,11 +275,18 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
 
 # --- nested-phase instance ----------------------------------------------------
 
+def _check_nested_size(k1: int, k2: int, k3: int) -> None:
+    """Refuse over-cap part sizes before any of the 2**k1 U sets is drawn;
+    the oracle checks them again, for loaded files."""
+    _check_cap(k1 + k2 + k3)
+    if k1 > NESTED_MAX_K1:
+        raise TooLarge(f"A-part of {k1} elements over the cap {NESTED_MAX_K1}")
+
+
 def _nested_from_parts(name: str, k1: int, k2: int, k3: int,
                        u_sets: tuple[frozenset[int], ...], q: float,
                        metadata: dict[str, str]) -> tuple[Instance, FiniteOrderDistribution]:
     n = k1 + k2 + k3
-    _check_cap(n)
     a_ids = tuple(range(k1))
     b_ids = tuple(range(k1, k1 + k2))
     c_ids = tuple(range(k1 + k2, n))
@@ -304,11 +311,9 @@ def build_nested_instance(x: int, seed: int) -> tuple[Instance, FiniteOrderDistr
     is expected to fail (the family only exists for very large n)."""
     n = 2 ** (2 * x)
     k1 = 4 * x
-    if k1 > NESTED_MAX_K1:
-        # the oracle checks this too, but only after 2**k1 U sets are drawn
-        raise TooLarge(f"A-part of {k1} elements over the cap {NESTED_MAX_K1}")
     k3 = int(math.isqrt(n))
     k2 = n - k3 - k1
+    _check_nested_size(k1, k2, k3)
     if k2 <= 0:
         raise TooLarge("n too small to leave any B elements")
     family = build_u_family(n=n, alpha=10, k1=k1, k3=k3, seed=seed)
@@ -323,6 +328,7 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
     """Desk-scale variant with explicit part sizes. The U sets are
     consecutive slices of C, so a wrong Phase-1 guess leaves exactly one
     selectable B element."""
+    _check_nested_size(k1, k2, k3)
     num_sets = 2 ** k1
     if num_sets * u_size > k3:
         raise TooLarge(f"{num_sets} disjoint size-{u_size} sets need "

@@ -154,9 +154,6 @@ class ValueDistribution:
     def is_deterministic(self) -> bool:
         return len(self.atoms) == 1
 
-    def mean(self) -> float:
-        return sum(v * p for v, p in self.atoms)
-
     def support(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.atoms)
 
@@ -171,7 +168,8 @@ class ValueDistribution:
 @dataclass
 class Instance:
     """An instance: elements with value distributions plus a feasibility
-    oracle. ``metadata`` carries construction parameters as strings."""
+    oracle, the one statement of its structure. ``metadata`` labels it with
+    construction parameters as strings, which are only written and printed."""
 
     name: str
     dists: tuple[ValueDistribution, ...]
@@ -258,9 +256,6 @@ class FiniteOrderDistribution:
 class Trace:
     steps: list[tuple[int, float, Action]]
     total: float
-
-    def selected_ids(self) -> frozenset[int]:
-        return frozenset(e for e, _, a in self.steps if a is Action.SELECT)
 
 
 def sample_values(instance: Instance, seed: int, trial: int) -> np.ndarray:

@@ -56,6 +56,7 @@ def _report(total: float, total_sq: float, trials: int, seed: int) -> EvalReport
 
 
 # --- order sources ---------------------------------------------------------------
+# ``realize(instance, seed, trial)`` returns the aware policies' ``Knowledge``
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class FixedOrder:
     order: ArrivalOrder
 
     def realize(self, instance, seed, trial):
-        return self.order, {}
+        return Knowledge(self.order)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class SampledOrders:
 
     def realize(self, instance, seed, trial):
         idx = self.dist.sample_index(trial_rng(seed, trial, STREAM_ORDER))
-        return self.dist.orders[idx], {}
+        return Knowledge(self.dist.orders[idx])
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,14 @@ class TreeOrders:
 
     def realize(self, instance, seed, trial):
         real = sample_tree_order(instance, seed, self.order_trial(trial))
-        return real.order, {"good": real.good}
+        return Knowledge(real.order, real.good)
 
 
-def _as_source(order_source, n: int):
+def _as_source(order_source, instance: Instance):
     """The order source, a bare order becoming a ``FixedOrder``; a fixed or
-    sampled order must be a permutation of the instance's elements."""
+    sampled order must be a permutation of the instance's elements, and tree
+    orders need the tree oracle."""
+    n = instance.n
     if isinstance(order_source, (tuple, list)):
         return FixedOrder(check_order(order_source, n))
     if isinstance(order_source, FixedOrder):
@@ -111,22 +114,24 @@ def _as_source(order_source, n: int):
     elif isinstance(order_source, SampledOrders):
         for order in order_source.dist.orders:
             check_order(order, n)
+    elif (isinstance(order_source, TreeOrders)
+          and not isinstance(instance.feasibility, TreePathOracle)):
+        raise ValueError("tree orders only apply to tree instances")
     return order_source
 
 
 def _trial_traces(instance: Instance, policies, source, seed: int, trials):
     """Per trial, every policy's trace on the trial's order and values. A
     policy that draws gets the trial's policy stream, fresh for each."""
-    unaware = Knowledge.unaware()
+    unaware = Knowledge()
     for trial in trials:
-        order, side_info = source.realize(instance, seed, trial)
+        aware = source.realize(instance, seed, trial)
         values = sample_values(instance, seed, trial)
         traces = []
         for policy in policies:
-            kn = Knowledge.aware(order, **side_info) if policy.aware else unaware
             rng = trial_rng(seed, trial, STREAM_POLICY) if policy.draws else None
-            pstate = policy.start(instance, kn, rng=rng)
-            traces.append(run_policy(policy, instance, order, values, pstate))
+            pstate = policy.start(instance, aware if policy.aware else unaware, rng=rng)
+            traces.append(run_policy(policy, instance, aware.order, values, pstate))
         yield traces
 
 
@@ -177,7 +182,7 @@ def _random_block_twos(k: int, seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _multiunit_chunk(instance, policies, tag, seed, start, count) -> np.ndarray:
-    k = int(instance.metadata["k"])
+    k = instance.feasibility.k
     x = _random_block_twos(k, seed, start, count)
     totals = np.empty((len(policies), count), dtype=np.float64)
     for p_idx, policy in enumerate(policies):
@@ -198,12 +203,11 @@ def _has_value_groups(instance: Instance, runs) -> bool:
 
 def _multiunit_fast_tag(instance, policies, source) -> str | None:
     """The canonical order's tag when the closed form applies, else None."""
-    if instance.metadata.get("construction") != "multiunit":
-        return None
-    k = int(instance.metadata["k"])
     oracle = instance.feasibility
-    if not (type(oracle) is KUniformOracle and (oracle.n, oracle.k) == (4 * k, k)
-            and _has_value_groups(instance, multiunit_blocks(k))
+    if type(oracle) is not KUniformOracle:
+        return None
+    k = oracle.k
+    if not (oracle.n == 4 * k and _has_value_groups(instance, multiunit_blocks(k))
             and isinstance(source, FixedOrder)
             and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)
             and all(p.threshold_count(k) <= k for p in policies)):
@@ -365,7 +369,7 @@ def _tree_arrivals(k: int, in_r: np.ndarray, v1: np.ndarray):
 
 
 def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
-    k = int(instance.metadata["k"])
+    k = instance.feasibility.k
     n = instance.n
     p_one = instance.dists[0].cumulative()[0]
     aware = [i for i, p in enumerate(policies) if isinstance(p, TreeAwarePolicy)]
@@ -375,18 +379,13 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
              else _tree_greedy_rule(k) for i in walked]
     distinct = list(dict.fromkeys(rules))  # gambles with l >= k-2 coincide
     rule_row = [distinct.index(r) for r in rules]
-    drawn: dict[int, np.ndarray] = {}  # r-subsets per order trial of the chunk
     totals = np.zeros((len(policies), count), dtype=np.float64)
     block = max(1, TREE_BLOCK_CELLS // n)
     u = np.empty((block, n))
     for first in range(0, count, block):
         size = min(block, count - first)
         trials = range(start + first, start + first + size)
-        wanted = [source.order_trial(t) for t in trials]
-        new = [t for t in dict.fromkeys(wanted) if t not in drawn]
-        if new:
-            drawn.update(zip(new, _sample_tree_raw(k, seed, new)))
-        in_r = np.stack([drawn[t] for t in wanted])
+        in_r = _sample_tree_raw(k, seed, [source.order_trial(t) for t in trials])
         for _ in cell_draws(seed, trials, STREAM_VALUES, u):
             pass  # each trial's uniforms land in its row of u
         v1 = u[:size] < p_one
@@ -400,12 +399,9 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
 
 
 def _tree_fast_ok(instance, policies, source) -> bool:
-    if instance.metadata.get("construction") != "tree":
-        return False
-    k = int(instance.metadata["k"])
     oracle = instance.feasibility
-    return (type(oracle) is TreePathOracle and oracle.k == k
-            and _has_value_groups(instance, ((0, oracle.n, tree_prior(k)),))
+    return (type(oracle) is TreePathOracle
+            and _has_value_groups(instance, ((0, oracle.n, tree_prior(oracle.k)),))
             and isinstance(source, TreeOrders)
             and all(isinstance(p, (TreeAwarePolicy, TreeGamblePolicy, GreedyPolicy,
                                    AlwaysDiscardPolicy)) for p in policies))
@@ -443,7 +439,7 @@ def simulate_many(policies: list[Policy], instance: Instance, order_source,
     """Evaluate several policies on shared per-trial realizations."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    order_source = _as_source(order_source, instance.n)
+    order_source = _as_source(order_source, instance)
     engine, tag = _pick_engine(instance, policies, order_source, fast)
     starts = list(range(0, trials, CHUNK_SIZE))
     # the engine goes last: benchmark tracing reads it from there
@@ -473,7 +469,7 @@ def simulate(policy: Policy, instance: Instance, order_source, trials: int,
 def collect_traces(policy: Policy, instance: Instance, order_source, trials: int,
                    seed: int) -> list[Trace]:
     """Debugging helper: full traces for the first min(trials, 1000) trials."""
-    runs = _trial_traces(instance, [policy], _as_source(order_source, instance.n), seed,
+    runs = _trial_traces(instance, [policy], _as_source(order_source, instance), seed,
                          range(min(trials, TRACE_CAP)))
     return [traces[0] for traces in runs]
 

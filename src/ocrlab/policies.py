@@ -12,44 +12,30 @@ mutates the policy, which lets ``eval_policy_exact`` merge equal states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import Action, ArrivalOrder, Instance
 from .errors import BadThreshold, DecodeFailure, MissingLabels
-from .feasibility import KUniformOracle
+from .feasibility import KUniformOracle, NestedPhaseOracle, TreePathOracle
 
 SELECT, DISCARD = Action.SELECT, Action.DISCARD
 
 
 @dataclass
 class Knowledge:
-    """What the policy is told before the trial starts.
+    """What the policy is told before the trial starts: nothing for an
+    unaware policy; for an aware one, the realized order and, on the tree,
+    the good/bad label of every element."""
 
-    Aware knowledge carries the realized order plus realization-dependent
-    side information (the tree's good/bad labels). Unaware knowledge
-    carries neither.
-    """
-
-    variant: str  # "aware" | "unaware"
     order: ArrivalOrder | None = None
-    side_info: dict = field(default_factory=dict)
+    good: np.ndarray | None = None  # bool per element id
 
     def __post_init__(self):
-        if self.variant not in ("aware", "unaware"):
-            raise ValueError("variant must be 'aware' or 'unaware'")
-        if self.variant == "unaware" and (self.order is not None or self.side_info):
-            raise ValueError("unaware knowledge cannot carry a realized order or labels")
-
-    @staticmethod
-    def aware(order: ArrivalOrder, **side_info) -> "Knowledge":
-        return Knowledge(variant="aware", order=order, side_info=side_info)
-
-    @staticmethod
-    def unaware() -> "Knowledge":
-        return Knowledge(variant="unaware")
+        if self.good is not None and self.order is None:
+            raise ValueError("good/bad labels come only with the realized order")
 
 
 class Policy:
@@ -58,12 +44,17 @@ class Policy:
     name = "policy"
     aware = False
     draws = False  # whether ``start`` draws from its random stream
+    oracle_class: type | None = None  # the oracle ``start`` reads, if any
 
     def start(self, instance: Instance, knowledge: Knowledge,
               rng: np.random.Generator | None = None):
         """Validate the trial, set its constants, return the initial state."""
-        if self.aware and knowledge.variant != "aware":
-            raise MissingLabels(f"{self.name} needs aware knowledge")
+        oracle = instance.feasibility
+        if self.oracle_class is not None and not isinstance(oracle, self.oracle_class):
+            want, got = (c.kind.replace("_", "-") for c in (self.oracle_class, type(oracle)))
+            raise ValueError(f"{self.name} needs a {want} oracle, not a {got} one")
+        if self.aware and knowledge.order is None:
+            raise MissingLabels(f"{self.name} needs the realized order")
         return None
 
     def decide(self, pstate, e: int, v: float) -> tuple[Action, object]:
@@ -98,13 +89,13 @@ class TreeAwarePolicy(Policy):
 
     name = "tree_aware"
     aware = True
+    oracle_class = TreePathOracle
 
     def start(self, instance, knowledge, rng=None):
         super().start(instance, knowledge, rng)
-        good = knowledge.side_info.get("good")
-        if good is None:
-            raise MissingLabels("tree_aware needs good/bad labels in side_info")
-        self._good = np.asarray(good, dtype=bool)
+        if knowledge.good is None:
+            raise MissingLabels("tree_aware needs the good/bad labels")
+        self._good = np.asarray(knowledge.good, dtype=bool)
         self._oracle = instance.feasibility
         self._k = self._oracle.k
         return None
@@ -126,6 +117,7 @@ class TreeGamblePolicy(Policy):
     selection within the first k-2 layers or None)."""
 
     name = "tree_gamble"
+    oracle_class = TreePathOracle
 
     def __init__(self, l: int = 0):
         if l < 0:
@@ -176,13 +168,12 @@ class NestedAwarePolicy(Policy):
 
     name = "nested_aware"
     aware = True
+    oracle_class = NestedPhaseOracle
 
     def start(self, instance, knowledge, rng=None):
         super().start(instance, knowledge, rng)
         oracle = instance.feasibility
         self._oracle = oracle
-        if knowledge.order is None:
-            raise MissingLabels("nested_aware needs the realized order")
         self._i = decode_nested_index(oracle, knowledge.order)
         self._v_set = oracle.v_set(self._i)
         self._a_set = set(oracle.a_ids)
@@ -212,6 +203,7 @@ class NestedGuessPolicy(Policy):
     plays greedily while never losing completability."""
 
     name = "nested_guess"
+    oracle_class = NestedPhaseOracle
 
     def __init__(self, rule: str = "fixed", i: int = 0):
         if rule not in ("fixed", "uniform"):
@@ -253,9 +245,11 @@ class MultiunitThresholdPolicy(Policy):
     """Selects ``threshold_count(k)`` of the 7/4-valued elements, then rations
     the remaining capacity between value-2 elements and the unit-valued
     block according to the variant. The state is (7/4-valued elements
-    taken, random-block elements seen). Under the k-uniform oracle that
-    ``start`` requires, every step after the first forced one is forced too:
-    ``decide`` always has capacity left, and forced steps keep the state."""
+    taken, random-block elements seen). Under the k-uniform oracle with n = 4k
+    that ``start`` requires, every step after the first forced one is forced
+    too: ``decide`` always has capacity left, and forced steps keep the state."""
+
+    oracle_class = KUniformOracle
 
     def __init__(self, d: float, variant: str):
         if variant not in (PI1, PI2, UNAWARE_COMMIT):
@@ -269,10 +263,11 @@ class MultiunitThresholdPolicy(Policy):
 
     def start(self, instance, knowledge, rng=None):
         super().start(instance, knowledge, rng)
-        self._k = int(instance.metadata["k"])
         oracle = instance.feasibility
-        if not (isinstance(oracle, KUniformOracle) and oracle.k == self._k):
-            raise ValueError(f"{self.name} needs a k-uniform oracle with k={self._k}")
+        self._k = oracle.k
+        if oracle.n != 4 * self._k:
+            raise ValueError(f"{self.name} needs a k-uniform oracle with n = 4k, "
+                             f"not n={oracle.n}, k={self._k}")
         self._m = self.threshold_count(self._k)
         if self._m > self._k:
             raise BadThreshold(

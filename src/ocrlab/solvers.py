@@ -3,7 +3,8 @@ order, the best order-unaware algorithm against a known order distribution,
 the offline prophet value, and exact ratio reports.
 
 All solvers are exact over finite supports; they are guarded by
-``SolverLimits`` and raise ``TooLarge`` rather than degrade.
+``SolverLimits`` (the prophet by ``MAX_REALIZATIONS``) and raise
+``TooLarge`` rather than degrade.
 """
 
 from __future__ import annotations
@@ -22,19 +23,20 @@ from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracl
                           materialize, tree_layout)
 
 
+MAX_REALIZATIONS = 1 << 20  # the most value realizations or group-sum points
+
+
 @dataclass(frozen=True)
 class SolverLimits:
     """``max_states`` is the exact solvers' budget: trie nodes, states and
-    tree slot updates. ``max_realizations`` bounds the prophet's value
-    support; ``max_elements``, when set, caps the expectimax's element
-    count."""
+    tree slot updates. ``max_elements``, when set, caps the expectimax's
+    element count."""
 
     max_elements: int | None = None
     max_states: int = 2_000_000
-    max_realizations: int = 1 << 20
 
     def __post_init__(self):
-        if (min(self.max_states, self.max_realizations) <= 0
+        if (self.max_states <= 0
                 or (self.max_elements is not None and self.max_elements <= 0)):
             raise ValueError("limits must be positive")
 
@@ -238,7 +240,7 @@ def max_feasible_sum(oracle, values: np.ndarray) -> float:
     raise TooLarge(f"no offline optimizer for oracle kind {oracle.kind!r}")
 
 
-def _iter_realizations(instance: Instance, limits: SolverLimits):
+def _iter_realizations(instance: Instance):
     """Yield (values, probability) over the product support of all
     nondeterministic elements."""
     n = instance.n
@@ -247,8 +249,8 @@ def _iter_realizations(instance: Instance, limits: SolverLimits):
     count = 1
     for i in stochastic:
         count *= len(instance.dists[i].atoms)
-        if count > limits.max_realizations:
-            raise TooLarge(f"support product exceeds {limits.max_realizations}")
+        if count > MAX_REALIZATIONS:
+            raise TooLarge(f"support product exceeds {MAX_REALIZATIONS}")
     if not stochastic:
         yield base, 1.0
         return
@@ -261,7 +263,7 @@ def _iter_realizations(instance: Instance, limits: SolverLimits):
         yield values, prob
 
 
-def _group_sum_dist(instance: Instance, ids, limits: SolverLimits) -> dict[float, float]:
+def _group_sum_dist(instance: Instance, ids) -> dict[float, float]:
     """Exact distribution of the value sum over one group of elements."""
     dist: dict[float, float] = {0.0: 1.0}
     for e in ids:
@@ -270,7 +272,7 @@ def _group_sum_dist(instance: Instance, ids, limits: SolverLimits) -> dict[float
             for v, p in instance.dists[e].atoms:
                 key = s + v
                 nxt[key] = nxt.get(key, 0.0) + q * p
-        if len(nxt) > limits.max_realizations:
+        if len(nxt) > MAX_REALIZATIONS:
             raise TooLarge("group sum support too large")
         dist = nxt
     return dist
@@ -293,7 +295,7 @@ def _expected_max_independent(dists: list[dict[float, float]]) -> tuple[float, i
     return total, len(points)
 
 
-def prophet_exact(instance: Instance, limits: SolverLimits = SolverLimits()) -> SolveResult:
+def prophet_exact(instance: Instance) -> SolveResult:
     """E[max feasible sum]: by enumeration of the product support, or, when
     the constraint decomposes into independent groups (one block / one
     pair), from the exact group-sum distributions."""
@@ -304,12 +306,12 @@ def prophet_exact(instance: Instance, limits: SolverLimits = SolverLimits()) -> 
     elif isinstance(oracle, PairMatchOracle):
         groups = [[i, i + oracle.k] for i in range(oracle.k)]
     if groups is not None:
-        dists = [_group_sum_dist(instance, g, limits) for g in groups]
+        dists = [_group_sum_dist(instance, g) for g in groups]
         value, states = _expected_max_independent(dists)
         return SolveResult(value=value, states_expanded=states)
     total = 0.0
     states = 0
-    for values, prob in _iter_realizations(instance, limits):
+    for values, prob in _iter_realizations(instance):
         total += prob * max_feasible_sum(instance.feasibility, values)
         states += 1
     return SolveResult(value=total, states_expanded=states)
@@ -381,7 +383,7 @@ def eval_policy_exact(policy, instance: Instance, order: ArrivalOrder,
     from .policies import Knowledge
 
     order = check_order(order, instance.n)
-    kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
+    kn = Knowledge(order) if policy.aware else Knowledge()
     oracle = instance.feasibility
     mass = {(oracle.start(), policy.start(instance, kn)): 1.0}
     total = 0.0
@@ -433,8 +435,8 @@ def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
                 limits: SolverLimits = SolverLimits()) -> ExactRatioReport:
     """Per-order ALG/OPT ratios and their minimum (the order-competitive
     ratio of the policy), plus the prophet-based competitive ratio. When the
-    prophet's value support exceeds ``limits``, the rows still stand and the
-    prophet and competitive ratio are ``None``, with a warning."""
+    prophet's value support is too large to enumerate, the rows still stand
+    and the prophet and competitive ratio are ``None``, with a warning."""
     rows: list[ExactRatioRow] = []
     notes: list[str] = []
     for idx, order in enumerate(orders.orders):
@@ -449,7 +451,7 @@ def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
     defined = [r.ratio for r in rows if r.ratio is not None]
     min_ratio = min(defined) if defined else None
     try:
-        prophet = prophet_exact(instance, limits).value
+        prophet = prophet_exact(instance).value
     except TooLarge as exc:
         prophet = None
         notes.append(f"prophet not computed: {exc}")

@@ -135,7 +135,7 @@ def test_criterion_3_tree_order_ratio_clause():
     instance = build_tree_instance(4)
     sources = [TreeOrders(fixed=i) for i in range(50)]
     # the denominator of each order is solved on the very order its source plays
-    orders = [src.realize(instance, SEED, 0)[0] for src in sources]
+    orders = [src.realize(instance, SEED, 0).order for src in sources]
     optima = [opt_aware_exact(instance, order).value for order in orders]
 
     def per_order(policy, trials, references):
@@ -291,7 +291,7 @@ def test_criterion_8_calibration_examples():
     partition = build_partition_scaled(blocks=8, block_size=4, p=0.25)
     order = tuple(range(partition.n))
     best_online = opt_aware_exact(partition, order, limits=WIDE).value
-    p_prophet = prophet_exact(partition, limits=WIDE).value
+    p_prophet = prophet_exact(partition).value
     assert best_online <= 2.0 + 1e-9
     assert p_prophet >= 2.28
     print(f"criterion 8: PASS (pairs aware {aware:.6f}, prophet {prophet:.6f}; "

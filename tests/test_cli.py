@@ -374,3 +374,38 @@ class TestExitCodes:
                        "--seed", seed, "--out", str(path))[0] == 0
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("construction,policy,order", [
+        ("multiunit", "tree_gamble", "0"), ("multiunit", "nested_guess", "0"),
+        ("tree", "nested_aware", "tree"), ("nested-scaled", "tree_gamble", "0"),
+        ("multiunit", "greedy", "tree")])
+    def test_usage_error_on_a_foreign_policy_or_order(self, tmp_path, capsys, construction,
+                                                      policy, order):
+        # the first four policies read an oracle the file lacks, which gave an
+        # AttributeError traceback and exit 1; tree orders need the tree oracle
+        path = tmp_path / "inst.json"
+        assert run(capsys, "gen", "--construction", construction, "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "simulate", "--instance", str(path), "--policy", policy,
+                             "--order", order, "--trials", "4", "--seed", "1")
+        assert code == USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMetadataIsALabel:
+    @pytest.mark.parametrize("edit", ["wrong-k", "no-metadata"])
+    def test_tree_report_does_not_read_the_metadata(self, tmp_path, capsys, edit):
+        # a k = 4 file relabelled k = 2 walked a 6-element order (greedy's
+        # mean 0.93, not 2.43); one without metadata could not run --order tree
+        path = tmp_path / "tree.json"
+        assert run(capsys, "gen", "--construction", "tree", "--k", "4",
+                   "--out", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        doc["metadata"] = {**doc["metadata"], "k": "2"} if edit == "wrong-k" else {}
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        for policy in ("greedy", "tree_aware"):
+            argv = ("simulate", "--policy", policy, "--order", "tree", "--trials", "300",
+                    "--seed", "1", "--instance")
+            original = run(capsys, *argv, str(path))
+            assert original[0] == 0
+            assert run(capsys, *argv, str(edited)) == original

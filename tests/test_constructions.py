@@ -16,6 +16,7 @@ from ocrlab.constructions import (UFamily, build_multiunit_instance,
                                   build_partition_scaled, build_tree_instance,
                                   build_u_family, sample_tree_order,
                                   tree_arrival_positions, verify_u_family)
+from ocrlab.core import ValueDistribution
 from ocrlab.errors import ExhaustedAttempts, TooLarge
 from ocrlab.feasibility import ELEMENT_CAP, tree_layout
 from ocrlab.policies import decode_nested_index
@@ -220,7 +221,7 @@ class TestCalibration:
         assert inst.n == 6
         assert orders.orders == ((0, 1, 2, 3, 4, 5),)
         assert all(d.support() == (0.0,) for d in inst.dists[:3])
-        assert all(d.mean() == pytest.approx(1.0 / 6.0) for d in inst.dists[3:])
+        assert all(d == ValueDistribution.bernoulli(1.0 / 6.0) for d in inst.dists[3:])
 
 
 def test_one_element_cap():
@@ -237,3 +238,17 @@ def test_one_element_cap():
     with pytest.raises(TooLarge, match="19173960"):
         build_tree_instance(8)
     build_tree_instance(2)  # 6 elements fit
+
+
+@pytest.mark.parametrize("parts", [(16, 8, 1_000_000), (21, 4, 2 ** 21)])
+def test_nested_sizes_are_checked_before_the_u_sets(parts):
+    # n = k1 + k2 + k3 is over the element cap: the 2**k1 U sets took
+    # 17 MB (k1 = 16) and 537 MB (k1 = 21) before the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            build_nested_scaled(*parts, u_size=1, q=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -3,6 +3,7 @@ calibration, order sources, and the ratio estimator."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestOrderSources:
     def test_sampled_orders_cover_the_support(self):
         inst, orders = build_multiunit_instance(2)
         src = SampledOrders(orders)
-        seen = {src.realize(inst, 7, t)[0] for t in range(200)}
+        seen = {src.realize(inst, 7, t).order for t in range(200)}
         assert seen == set(orders.orders)
         assert src.realize(inst, 7, 3) == src.realize(inst, 7, 3)
 
@@ -92,9 +93,9 @@ class TestOrderSources:
         assert TreeOrders(fixed=0).order_trial(7) == 0
         pinned = TreeOrders(fixed=11)
         assert pinned.order_trial(0) == pinned.order_trial(999) == 11
-        order, side = pinned.realize(inst, 2, 123)
-        again, _ = pinned.realize(inst, 2, 456)
-        assert order == again and "good" in side
+        kn = pinned.realize(inst, 2, 123)
+        again = pinned.realize(inst, 2, 456)
+        assert kn.order == again.order and (kn.good == again.good).all()
 
     @pytest.mark.parametrize("kwargs", [
         {"fixed": 1.5}, {"fixed": 2 ** 62}, {"fixed": -1}])
@@ -103,6 +104,14 @@ class TestOrderSources:
         # one failed only at the first realization
         with pytest.raises(ValueError):
             TreeOrders(**kwargs)
+
+    def test_tree_orders_need_the_tree_oracle(self):
+        # a multi-unit instance once drew a 6-element tree order from its
+        # metadata's k = 2 and reported a mean over 6 of its 8 elements
+        inst, _ = build_multiunit_instance(2)
+        for run in (simulate, collect_traces):
+            with pytest.raises(ValueError, match="tree"):
+                run(GreedyPolicy(), inst, TreeOrders(), trials=2, seed=0)
 
     def test_fixed_order_must_cover_every_element(self):
         # a short fixed or sampled order would otherwise walk 2 of the 3
@@ -164,6 +173,26 @@ class TestFastPaths:
             fast = simulate(policy, edited, source, trials=400, seed=1)
             slow = simulate(policy, edited, source, trials=400, seed=1, fast=False)
             assert fast.mean == slow.mean
+
+    @pytest.mark.parametrize("edit", ["no-metadata", "wrong-k"])
+    def test_engines_read_the_oracle_not_the_metadata(self, edit):
+        # metadata is a label: without it, or with a wrong k, every engine
+        # runs as on the built instance (the generic multi-unit run without
+        # it once raised KeyError: 'k' in the policy's start)
+        inst, orders = build_multiunit_instance(3)
+        tree = build_tree_instance(4)
+        for built, policies, source, trials in (
+                (inst, [MultiunitThresholdPolicy(0.913, v) for v in ("pi1", "unaware")],
+                 FixedOrder(orders.orders[1]), 400),
+                (tree, [GreedyPolicy(), TreeAwarePolicy()], TreeOrders(), 100)):
+            metadata = {} if edit == "no-metadata" else {**built.metadata, "k": "2"}
+            relabelled = dataclasses.replace(built, metadata=metadata)
+            engine = _pick_engine(built, policies, source, True)
+            assert engine[0] != "generic"
+            assert _pick_engine(relabelled, policies, source, True) == engine
+            for fast in (True, False):
+                assert (simulate_many(policies, relabelled, source, trials, 1, fast=fast)
+                        == simulate_many(policies, built, source, trials, 1, fast=fast))
 
     def test_non_canonical_multiunit_order_takes_the_generic_engine(self):
         # the closed form holds on the construction's two orders only

@@ -12,8 +12,8 @@ import pytest
 
 from ocrlab.constructions import build_multiunit_instance, build_nested_scaled, \
     build_tree_instance
-from ocrlab.core import (STREAM_POLICY, Instance, ValueDistribution, run_policy,
-                         sample_values, trial_rng)
+from ocrlab.core import (STREAM_POLICY, Action, Instance, ValueDistribution,
+                         run_policy, sample_values, trial_rng)
 from ocrlab.errors import BadThreshold, DecodeFailure, MissingLabels
 from ocrlab.feasibility import KUniformOracle, NestedPhaseOracle, PairMatchOracle
 from ocrlab.montecarlo import CHUNK_SIZE, TREE_BLOCK_CELLS, FixedOrder, TreeOrders, \
@@ -26,21 +26,38 @@ from ocrlab.solvers import eval_policy_exact
 
 
 class TestKnowledge:
-    def test_unaware_cannot_carry_order(self):
+    def test_labels_need_the_order(self):
+        # unaware knowledge is Knowledge(): neither an order nor labels
+        assert [f.name for f in dataclasses.fields(Knowledge)] == ["order", "good"]
+        assert Knowledge().order is None and Knowledge().good is None
         with pytest.raises(ValueError):
-            Knowledge(variant="unaware", order=(0, 1))
-        with pytest.raises(ValueError):
-            Knowledge(variant="sideways")
+            Knowledge(good=np.ones(6, dtype=bool))
 
     def test_aware_policy_requires_aware_knowledge(self):
         inst = build_tree_instance(2)
         with pytest.raises(MissingLabels):
-            TreeAwarePolicy().start(inst, Knowledge.unaware())
+            TreeAwarePolicy().start(inst, Knowledge())
 
     def test_tree_aware_requires_labels(self):
         inst = build_tree_instance(2)
         with pytest.raises(MissingLabels):
-            TreeAwarePolicy().start(inst, Knowledge.aware((0, 1, 2, 3, 4, 5)))
+            TreeAwarePolicy().start(inst, Knowledge((0, 1, 2, 3, 4, 5)))
+
+    def test_start_refuses_an_oracle_it_does_not_read(self):
+        # these starts once failed with AttributeError on a foreign oracle
+        tree = build_tree_instance(2)
+        multi, _ = build_multiunit_instance(2)
+        nested, _ = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
+        for policy, inst in ((TreeAwarePolicy(), multi), (TreeGamblePolicy(1), nested),
+                             (NestedAwarePolicy(), tree), (NestedGuessPolicy(), multi),
+                             (MultiunitThresholdPolicy(0.5, "pi1"), tree)):
+            with pytest.raises(ValueError, match=f"needs a .* oracle, not a "
+                                                 f"{inst.feasibility.kind.replace('_', '-')}"):
+                policy.start(inst, Knowledge(tuple(range(inst.n))))
+        for policy in (GreedyPolicy(), AlwaysDiscardPolicy()):
+            assert policy.oracle_class is None
+            for inst in (tree, multi, nested):
+                policy.start(inst, Knowledge())
 
 
 class TestStateMachines:
@@ -48,18 +65,19 @@ class TestStateMachines:
         # decide and notify are pure: after start, runs from the one initial
         # state change nothing on the policy and match runs after a fresh start
         tree = build_tree_instance(4)
-        tree_order, side = TreeOrders().realize(tree, 3, 0)
+        tree_kn = TreeOrders().realize(tree, 3, 0)
+        tree_order = tree_kn.order
         multi, multi_orders = build_multiunit_instance(5)
         nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.5)
-        unaware = Knowledge.unaware()
+        unaware = Knowledge()
         cases = [
-            (TreeAwarePolicy(), tree, tree_order, Knowledge.aware(tree_order, **side)),
+            (TreeAwarePolicy(), tree, tree_order, tree_kn),
             (TreeGamblePolicy(2), tree, tree_order, unaware),
             (GreedyPolicy(), tree, tree_order, unaware),
             (MultiunitThresholdPolicy(0.913, "unaware"), multi, multi_orders.orders[1],
              unaware),
             (NestedAwarePolicy(), nested, nested_orders.orders[1],
-             Knowledge.aware(nested_orders.orders[1])),
+             Knowledge(nested_orders.orders[1])),
             (NestedGuessPolicy(rule="uniform"), nested, nested_orders.orders[1], unaware),
         ]
         for policy, inst, order, kn in cases:
@@ -110,7 +128,7 @@ class TestMultiunitThreshold:
         inst, orders = build_multiunit_instance(2)
         big = MultiunitThresholdPolicy(10.0, "pi1")  # m = 10 > k = 2
         with pytest.raises(BadThreshold):
-            big.start(inst, Knowledge.aware(orders.orders[0]))
+            big.start(inst, Knowledge(orders.orders[0]))
 
     def test_fast_path_matches_generic_bit_exactly(self):
         # odd k leaves 2k mod 4 = 2 words of a Philox step before the random block
@@ -136,7 +154,7 @@ class TestMultiunitThreshold:
             values = sample_values(inst, 8, trial)
             prefixes = []
             for order in orders.orders:
-                pstate = policy.start(inst, Knowledge.unaware())
+                pstate = policy.start(inst, Knowledge())
                 trace = run_policy(policy, inst, order, values, pstate)
                 prefixes.append(trace.steps[:k])
             assert prefixes[0] == prefixes[1]
@@ -147,7 +165,7 @@ class TestMultiunitThreshold:
         inst, orders = build_multiunit_instance(4)
         policy = MultiunitThresholdPolicy(0.0, "unaware")
         values = np.array([1.75] * 4 + [1.0] * 4 + [0.0] * 8)  # every c worth 0
-        pstate = policy.start(inst, Knowledge.unaware())
+        pstate = policy.start(inst, Knowledge())
         pi2_total = run_policy(policy, inst, orders.orders[1], values, pstate).total
         assert pi2_total == 4.0  # all four units bought after C passes
         pi1_total = run_policy(policy, inst, orders.orders[0], values, pstate).total
@@ -158,11 +176,11 @@ class TestMultiunitThreshold:
         # with the instance's k guarantees
         inst, orders = build_multiunit_instance(3)
         policy = MultiunitThresholdPolicy(0.913, "unaware")
-        policy.start(inst, Knowledge.unaware())
+        policy.start(inst, Knowledge())
         for oracle in (KUniformOracle(n=12, k=2), PairMatchOracle(k=6)):
             bad = dataclasses.replace(inst, feasibility=oracle)
             with pytest.raises(ValueError, match="k-uniform"):
-                policy.start(bad, Knowledge.unaware())
+                policy.start(bad, Knowledge())
 
 
 class TestTreePolicies:
@@ -219,9 +237,9 @@ class TestNestedPolicies:
         # or forced as the last B after the others are declined
         for order in ((c0, b2, b0, b1, b3, c2, c1, a0), (c0, b0, b1, b3, b2, c2, c1, a0)):
             policy = NestedAwarePolicy()
-            pstate = policy.start(inst, Knowledge.aware(order))
+            pstate = policy.start(inst, Knowledge(order))
             trace = run_policy(policy, inst, order, values, pstate)
-            assert trace.selected_ids() == {a0, b2, c2}, order
+            assert {e for e, _, a in trace.steps if a is Action.SELECT} == {a0, b2, c2}, order
 
     def test_guess_value_depends_on_match(self):
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
@@ -235,9 +253,9 @@ class TestNestedPolicies:
     def test_uniform_guess_needs_rng(self):
         inst, _ = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         with pytest.raises(ValueError):
-            NestedGuessPolicy(rule="uniform").start(inst, Knowledge.unaware())
+            NestedGuessPolicy(rule="uniform").start(inst, Knowledge())
         policy = NestedGuessPolicy(rule="uniform")
-        policy.start(inst, Knowledge.unaware(), rng=trial_rng(0, 0, 2))
+        policy.start(inst, Knowledge(), rng=trial_rng(0, 0, 2))
 
     def test_uniform_guess_draws_a_fresh_stream_per_policy(self):
         # only the uniform guess draws; each copy gets the trial's policy

@@ -22,7 +22,7 @@ from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOr
 from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                              MultiunitThresholdPolicy, NestedAwarePolicy,
                              NestedGuessPolicy, TreeGamblePolicy)
-from ocrlab.solvers import (SolverLimits, SolveResult, _expectimax,
+from ocrlab.solvers import (MAX_REALIZATIONS, SolverLimits, SolveResult, _expectimax,
                             _iter_realizations, _order_trie, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
@@ -311,10 +311,10 @@ class TestProphet:
 def _enumerated(policy, instance, order) -> float:
     """The forward pass's reference: every value realization, weighted by
     its probability, run step by step through ``run_policy``."""
-    kn = Knowledge.aware(order) if policy.aware else Knowledge.unaware()
+    kn = Knowledge(order) if policy.aware else Knowledge()
     pstate = policy.start(instance, kn)
     return sum(prob * run_policy(policy, instance, order, values, pstate).total
-               for values, prob in _iter_realizations(instance, SolverLimits()))
+               for values, prob in _iter_realizations(instance))
 
 
 class TestPolicyEvaluation:
@@ -404,7 +404,7 @@ class TestPolicyEvaluation:
 class TestGuards:
     def test_limit_validation(self):
         assert SolverLimits().max_elements is None
-        for bad in ({"max_elements": 0}, {"max_states": 0}, {"max_realizations": -1}):
+        for bad in ({"max_elements": 0}, {"max_states": 0}):
             with pytest.raises(ValueError):
                 SolverLimits(**bad)
 
@@ -468,11 +468,12 @@ class TestGuards:
             exhaustive_policy_search(ternary, (0,))
 
     def test_realization_budget(self):
-        # the tree has no independent groups, so the prophet value enumerates
-        # its 2^6 realizations, over a budget of 10
-        instance = build_tree_instance(2)
-        with pytest.raises(TooLarge):
-            prophet_exact(instance, limits=SolverLimits(max_realizations=10))
+        # the tree has no independent groups, so the prophet value would
+        # enumerate the k = 4 tree's 2^340 realizations, over MAX_REALIZATIONS
+        instance = build_tree_instance(4)
+        assert 2 ** instance.n > MAX_REALIZATIONS
+        with pytest.raises(TooLarge, match="support product"):
+            prophet_exact(instance)
 
     def test_policy_evaluation_state_budget(self):
         # greedy on the k = 2 tree in id order: the pairs are (deepest
