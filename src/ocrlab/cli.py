@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .analysis import derived_constants
@@ -120,7 +121,7 @@ def cmd_simulate(args) -> int:
                       workers=args.workers)
     config = {"instance": instance.name, "policy": args.policy, "order": args.order,
               "trials": args.trials, "seed": args.seed}
-    doc = _wrap("simulate", config, {"report": report.as_dict()})
+    doc = _wrap("simulate", config, {"report": asdict(report)})
     if args.format == "csv":
         header = ["version", "instance", "policy", "order", "trials", "seed",
                   "mean", "stderr", "ci_lo", "ci_hi"]
@@ -163,7 +164,7 @@ def cmd_ratio(args) -> int:
                          lo, hi, est.min_ratio, est.denominator_is_lower_bound])
         _emit(_csv_text(header, rows), args.out)
     else:
-        _emit(_json_text(_wrap("ratio", config, {"report": est.as_dict()})), args.out)
+        _emit(_json_text(_wrap("ratio", config, {"report": asdict(est)})), args.out)
     return 0
 
 
@@ -313,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     exa.add_argument("--instance", required=True)
     exa.add_argument("--mode", choices=["aware", "unaware", "prophet"], required=True)
     exa.add_argument("--order", type=int, default=0)
-    exa.add_argument("--max-states", dest="max_states", type=int, default=2_000_000)
+    exa.add_argument("--max-states", dest="max_states", type=int,
+                     default=SolverLimits().max_states)
     exa.add_argument("--out")
     exa.set_defaults(func=cmd_exact)
 

@@ -131,9 +131,10 @@ class ValueDistribution:
         values = [v for v, _ in self.atoms]
         if len(set(values)) != len(values):
             raise ValueError("atom values must be pairwise distinct")
-        if any(v < 0 for v in values):
-            raise ValueError("values must be nonnegative")
-        if any(p < 0 or p > 1 for _, p in self.atoms):
+        # written so that a NaN fails each test
+        if not all(0 <= v < np.inf for v in values):
+            raise ValueError("values must be finite and nonnegative")
+        if not all(0 <= p <= 1 for _, p in self.atoms):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(sum(p for _, p in self.atoms) - 1.0) > TOL:
             raise ValueError("probabilities must sum to 1")
@@ -215,12 +216,15 @@ ArrivalOrder = tuple[int, ...]
 def check_order(order: Sequence[int], n: int) -> ArrivalOrder:
     try:
         # ``operator.index`` takes ints and NumPy integers, but no float
-        order = tuple(map(operator.index, order))
+        ids = tuple(map(operator.index, order))
     except TypeError:
         raise ValueError("order ids must be integers") from None
-    if sorted(order) != list(range(n)):
+    ranked = sorted(order)  # as given: only the ids 0 and 1 can be bools, and they sort first
+    if ranked != list(range(n)):
         raise ValueError("order must be a permutation of all element ids")
-    return order
+    if bool in map(type, ranked[:2]):
+        raise ValueError("order ids must be integers")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,8 @@ class FiniteOrderDistribution:
     def __post_init__(self):
         if len(self.orders) != len(self.weights) or not self.orders:
             raise ValueError("orders and weights must be nonempty and aligned")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < np.inf for w in self.weights):
+            raise ValueError("weights must be positive and finite")
         if abs(sum(self.weights) - 1.0) > TOL:
             raise ValueError("weights must sum to 1")
         # keep the checked tuples: their ids are plain ints, whatever the caller passed

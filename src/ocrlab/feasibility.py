@@ -24,6 +24,7 @@ state does not allow. Oracles are immutable and all queries are pure.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -432,21 +433,31 @@ def oracle_to_json(oracle) -> dict:
     return {"kind": oracle.kind, "params": params}
 
 
+def _ints(*xs) -> tuple[int, ...]:
+    """Counts and ids read from a file: ints, never floats or bools."""
+    try:
+        if bool in map(type, xs):
+            raise TypeError
+        return tuple(map(operator.index, xs))  # takes NumPy integers, but no float
+    except TypeError:
+        raise ValueError("counts and ids must be integers") from None
+
+
 def oracle_from_json(doc: dict):
     kind, p = doc["kind"], doc["params"]
     if kind == "explicit_family":
-        return ExplicitFamilyOracle(n=int(p["n"]),
-                                    sets=tuple(frozenset(s) for s in p["sets"]))
+        return ExplicitFamilyOracle(*_ints(p["n"]),
+                                    sets=tuple(frozenset(_ints(*s)) for s in p["sets"]))
     if kind == "k_uniform":
-        return KUniformOracle(n=int(p["n"]), k=int(p["k"]))
+        return KUniformOracle(*_ints(p["n"], p["k"]))
     if kind == "tree_path":
-        return TreePathOracle(k=int(p["k"]))
+        return TreePathOracle(*_ints(p["k"]))
     if kind == "partition_one_block":
-        return PartitionOneBlockOracle(blocks=tuple(tuple(b) for b in p["blocks"]))
+        return PartitionOneBlockOracle(blocks=tuple(_ints(*b) for b in p["blocks"]))
     if kind == "pair_match":
-        return PairMatchOracle(k=int(p["k"]))
+        return PairMatchOracle(*_ints(p["k"]))
     if kind == "nested_phase":
-        return NestedPhaseOracle(a_ids=tuple(p["a"]), b_ids=tuple(p["b"]),
-                                 c_ids=tuple(p["c"]),
-                                 u_sets=tuple(frozenset(u) for u in p["u_sets"]))
+        return NestedPhaseOracle(a_ids=_ints(*p["a"]), b_ids=_ints(*p["b"]),
+                                 c_ids=_ints(*p["c"]),
+                                 u_sets=tuple(frozenset(_ints(*u)) for u in p["u_sets"]))
     raise WrongKind(f"unknown oracle kind {kind!r}")

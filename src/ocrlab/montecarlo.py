@@ -40,11 +40,6 @@ class EvalReport:
     trials: int
     seed: int
 
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr,
-                "ci95": [self.ci95[0], self.ci95[1]],
-                "trials": self.trials, "seed": self.seed}
-
 
 def _report(total: float, total_sq: float, trials: int, seed: int) -> EvalReport:
     mean = total / trials
@@ -492,22 +487,6 @@ class RatioEstimate:
     min_ratio: float | None
     denominator_is_lower_bound: bool
     warnings: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [{
-                "order_index": r.order_index,
-                "numerator": r.numerator.as_dict(),
-                "denominator": (r.denominator.as_dict()
-                                if isinstance(r.denominator, EvalReport)
-                                else r.denominator),
-                "ratio": r.ratio,
-                "ratio_ci": list(r.ratio_ci) if r.ratio_ci else None,
-            } for r in self.rows],
-            "min_ratio": self.min_ratio,
-            "denominator_is_lower_bound": self.denominator_is_lower_bound,
-            "warnings": self.warnings,
-        }
 
 
 def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistribution,

@@ -21,6 +21,7 @@ from .errors import InconsistentState, PolicyViolation, TooLarge
 from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
                           materialize, tree_layout)
+from .policies import Knowledge
 
 
 MAX_REALIZATIONS = 1 << 20  # the most value realizations or group-sum points
@@ -49,27 +50,30 @@ class SolveResult:
 
 def opt_aware_exact(instance: Instance, order: ArrivalOrder,
                     limits: SolverLimits = SolverLimits()) -> SolveResult:
-    """Optimal online value for a known order, by backward induction.
+    """Optimal online value for a known order: the best order-unaware
+    algorithm's value on the one-order belief."""
+    return _solve(instance, FiniteOrderDistribution((order,), (1.0,)), limits)
 
-    On a ``TreePathOracle`` the state is (position, deepest selected node or
-    none): every feasible set is a chain, and an element arriving later can
-    join the chain exactly when it is comparable with the deepest selected
-    node, so nothing else about the past matters. A position updates only
-    the states comparable with its element, O(n·k) in all; ``max_states``
-    bounds that count.
 
-    Every other oracle kind runs the order-unaware expectimax on the
-    one-order belief, whose nodes are then (position, feasibility state):
-    the oracle's state summarizes everything the future depends on, so
-    states reached by different histories share one sub-problem. For
-    k-uniform constraints that is the selected count, at most n(k+1)
-    states.
-    """
-    n = instance.n
+def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
+                      limits: SolverLimits = SolverLimits()) -> SolveResult:
+    """Value of the best algorithm that knows the order distribution but not
+    the realization. The orders still alive share the identity prefix seen
+    so far, so a node of the orders' prefix trie is both the belief and the
+    position; values are order-independent, so only the current element's
+    realization enters."""
+    return _solve(instance, orders, limits)
+
+
+def _solve(instance: Instance, orders: FiniteOrderDistribution,
+           limits: SolverLimits) -> SolveResult:
+    """Both exact solves, by the oracle's kind: the slot induction over the
+    order trie on a ``TreePathOracle``, the expectimax on every other."""
+    if len(orders.orders[0]) != instance.n:
+        raise ValueError("order must be a permutation of all element ids")
     if isinstance(instance.feasibility, TreePathOracle):
-        return _opt_aware_tree_path(instance, check_order(order, n), limits)
-    one_order = FiniteOrderDistribution((check_order(order, n),), (1.0,))
-    return _expectimax(instance, one_order, limits)
+        return _tree_induction(instance, orders, limits)
+    return _expectimax(instance, orders, limits)
 
 
 def _expect(atoms, sel, keep):
@@ -78,48 +82,6 @@ def _expect(atoms, sel, keep):
     for v, p in atoms:
         total = total + p * np.maximum(v + sel, keep)
     return total
-
-
-def _opt_aware_tree_path(instance: Instance, order: ArrivalOrder,
-                         limits: SolverLimits) -> SolveResult:
-    """Backward induction over (position, deepest selected node), one NumPy
-    vector indexed by node id, with slot n for "nothing selected". At e's
-    position, from nothing or an ancestor of e, selecting e makes e the
-    deepest node; from a descendant of e, the deepest node stays. Every
-    other slot can only discard e and keeps its value. A layer-L node is
-    comparable with k**max(0, d - L) nodes of layer d, itself standing in
-    for "none"; ``states_expanded`` counts these slot updates."""
-    layout = tree_layout(instance.feasibility.k)
-    k, n = layout.k, instance.n
-    states = sum(k ** layer * sum(k ** max(0, d - layer) for d in range(1, k + 1))
-                 for layer in range(1, k + 1))
-    if states > limits.max_states:
-        raise TooLarge(f"{states} states over the limit {limits.max_states}")
-    w = np.zeros(n + 1)
-    for e in reversed(order):
-        atoms = instance.dists[e].atoms
-        layer = layout.layer[e]
-        up = [*layout.ancestors[e], n]
-        w[up] = _expect(atoms, w[e], w[up])
-        for d in range(layer + 1, k + 1):
-            below = w[slice(*layout.block(d, e))]
-            below[:] = _expect(atoms, below, below)
-    return SolveResult(value=float(w[n]), states_expanded=states)
-
-
-def opt_unaware_exact(instance: Instance, orders: FiniteOrderDistribution,
-                      limits: SolverLimits = SolverLimits()) -> SolveResult:
-    """Value of the best algorithm that knows the order distribution but not
-    the realization: expectimax over belief states.
-
-    A node is (belief, position, feasibility state): the orders still alive
-    in a belief share the exact identity prefix, so a node of the orders'
-    prefix trie stands for both, and the oracle's state summarizes the
-    decisions taken on it. The next element's identity splits the belief;
-    values are order-independent, so only the current element's realization
-    enters.
-    """
-    return _expectimax(instance, orders, limits)
 
 
 def _order_trie(orders: FiniteOrderDistribution, n: int,
@@ -206,6 +168,49 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
             total += share * _expect(atoms[e], after[sel], after[dis])
         values[node] = vec
     return SolveResult(value=float(values[0][0]), states_expanded=states)
+
+
+def _tree_induction(instance: Instance, orders: FiniteOrderDistribution,
+                    limits: SolverLimits) -> SolveResult:
+    """Backward induction over (order-trie node, deepest selected node or
+    none): a feasible set is a chain, which a later element can join exactly
+    when it is comparable with the deepest node. A node's values are one
+    vector by node id, slot n for "none". At e's arrival, "none" and e's
+    ancestors may select e, making it the deepest; e's descendants keep
+    theirs either way; every other slot can only discard e and is left as
+    it is. A layer-L node is comparable with k**max(0, d - L) nodes of layer
+    d (for d <= L, one stands in for "none"); ``states_expanded`` counts
+    these slot updates over the trie's edges, O(n·k) per order."""
+    layout = tree_layout(instance.feasibility.k)
+    k, n = layout.k, instance.n
+    trie = _order_trie(orders, n, limits.max_states)
+    per_layer = [sum(k ** max(0, d - layer) for d in range(1, k + 1))
+                 for layer in range(k + 1)]
+    states = sum(per_layer[layout.layer[e]] for children in trie for e, _, _ in children)
+    if states > limits.max_states:
+        raise TooLarge(f"{states} states over the limit {limits.max_states}")
+    values: list = [None] * len(trie)
+
+    def arrive(e, child):
+        """The child's vector, updated in place for e's arrival."""
+        w, values[child] = values[child], None
+        atoms = instance.dists[e].atoms
+        up = [*layout.ancestors[e], n]
+        w[up] = _expect(atoms, w[e], w[up])
+        for d in range(layout.layer[e] + 1, k + 1):
+            below = w[slice(*layout.block(d, e))]
+            below[:] = _expect(atoms, below, below)
+        return w
+
+    for node in reversed(range(len(trie))):
+        children = trie[node]
+        if len(children) == 1:  # in place, so a chain of nodes costs O(n·k)
+            (e, _, child), = children
+            values[node] = arrive(e, child)
+        else:  # a leaf's zeros, or the children's sum weighted by share
+            values[node] = sum((share * arrive(e, child) for e, share, child in children),
+                               np.zeros(n + 1))
+    return SolveResult(value=float(values[0][n]), states_expanded=states)
 
 
 # --- offline benchmark ---------------------------------------------------------
@@ -375,17 +380,16 @@ def exhaustive_policy_search(instance: Instance,
 # --- policy evaluation and ratios ------------------------------------------------
 
 
-def eval_policy_exact(policy, instance: Instance, order: ArrivalOrder,
+def eval_policy_exact(policy, instance: Instance, knowledge: Knowledge,
                       limits: SolverLimits = SolverLimits()) -> float:
-    """Expected value of a deterministic policy on a fixed order, by one
-    forward pass of ``run_policy``'s steps: per position, a dict from (oracle
-    state, policy state) to probability mass, summing the gain as mass moves."""
-    from .policies import Knowledge
-
-    order = check_order(order, instance.n)
-    kn = Knowledge(order) if policy.aware else Knowledge()
+    """Expected value of a deterministic policy on a trial's order, told the
+    trial's ``knowledge`` if it is aware, by one forward pass of
+    ``run_policy``'s steps: per position, a dict from (oracle state, policy
+    state) to probability mass, summing the gain as mass moves."""
+    order = check_order(knowledge.order, instance.n)
     oracle = instance.feasibility
-    mass = {(oracle.start(), policy.start(instance, kn)): 1.0}
+    told = knowledge if policy.aware else Knowledge()
+    mass = {(oracle.start(), policy.start(instance, told)): 1.0}
     total = 0.0
     states = 0
     for e in order:
@@ -440,7 +444,7 @@ def ratio_exact(instance: Instance, orders: FiniteOrderDistribution, policy,
     rows: list[ExactRatioRow] = []
     notes: list[str] = []
     for idx, order in enumerate(orders.orders):
-        alg = eval_policy_exact(policy, instance, order, limits=limits)
+        alg = eval_policy_exact(policy, instance, Knowledge(order), limits=limits)
         opt = opt_aware_exact(instance, order, limits=limits).value
         if opt <= 0.0:
             notes.append(f"order {idx}: OPT = 0, ratio undefined and excluded")

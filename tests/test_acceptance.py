@@ -9,6 +9,7 @@ alongside it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -25,8 +26,8 @@ from ocrlab.constructions import (UFamily, build_multiunit_instance,
                                   build_u_family, verify_u_family)
 from ocrlab.montecarlo import (FixedOrder, TreeOrders, estimate_ratio, simulate,
                               simulate_many)
-from ocrlab.policies import (GreedyPolicy, MultiunitThresholdPolicy, NestedAwarePolicy,
-                             TreeAwarePolicy, TreeGamblePolicy)
+from ocrlab.policies import (GreedyPolicy, Knowledge, MultiunitThresholdPolicy,
+                             NestedAwarePolicy, TreeAwarePolicy, TreeGamblePolicy)
 from ocrlab.solvers import (SolverLimits, eval_policy_exact, exhaustive_policy_search,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
@@ -75,7 +76,7 @@ def _criterion2_report_text(workers: int) -> str:
     for tag, order in zip(("pi1", "pi2"), orders.orders):
         reports = simulate_many(policies, instance, FixedOrder(order),
                                 trials=C2_TRIALS, seed=SEED, workers=workers)
-        doc[tag] = {name: rep.as_dict()
+        doc[tag] = {name: dataclasses.asdict(rep)
                     for name, rep in zip(C2_POLICY_NAMES, reports)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -164,7 +165,7 @@ def test_criterion_3_tree_order_ratio_clause():
         ctx = per_order(policy, 20_000, aware_refs)
         print(f"context, weaker policy {name} vs tree_aware: min ratio {ctx.min_ratio:.4f}")
     # the numerator solved exactly too: no Monte Carlo error on either side
-    exact = [eval_policy_exact(best, instance, order) / opt
+    exact = [eval_policy_exact(best, instance, Knowledge(order)) / opt
              for order, opt in zip(orders, optima)]
     print(f"exact {best.name} per-order ratios vs the exact optimum: "
           f"min {min(exact):.4f}, max {max(exact):.4f}, "
@@ -188,7 +189,7 @@ def test_criterion_4_nested_exact():
     aware_target = 1.0 - 0.9 ** 8
     aware_vals = []
     for order in orders.orders:
-        val = eval_policy_exact(NestedAwarePolicy(), instance, order)
+        val = eval_policy_exact(NestedAwarePolicy(), instance, Knowledge(order))
         assert abs(val - aware_target) <= 1e-9
         aware_vals.append(val)
         opt = opt_aware_exact(instance, order).value
@@ -270,7 +271,7 @@ def test_criterion_7_ordering_relations():
             assert prophet >= v - 1e-9
         assert aware_avg >= unaware - 1e-9
         for policy in (GreedyPolicy(),):
-            val = sum(w * eval_policy_exact(policy, instance, o)
+            val = sum(w * eval_policy_exact(policy, instance, Knowledge(o))
                       for w, o in zip(orders.weights, orders.orders))
             assert unaware >= val - 1e-9
             report = ratio_exact(instance, orders, policy)

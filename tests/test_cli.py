@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import pytest
 
 from ocrlab.cli import CHECK_FAILURE, RESOURCE_ERROR, USAGE_ERROR, main
 from ocrlab.constructions import build_multiunit_instance
-from ocrlab.core import instance_to_json_dict
+from ocrlab.core import Instance, ValueDistribution, instance_to_json_dict
+from ocrlab.feasibility import ExplicitFamilyOracle
 
 
 def run(capsys, *argv):
@@ -335,6 +337,57 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--what", "instance", "--instance", str(big))
         assert code == RESOURCE_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "19173960" in err
+
+    @pytest.mark.parametrize("edit", ["nan-probabilities", "infinite-value", "nan-weight"])
+    def test_usage_error_on_non_finite_numbers(self, tmp_path, capsys, edit):
+        # json reads NaN and Infinity; NaN probabilities printed "value": NaN,
+        # which is not JSON, and exited 0
+        src = tmp_path / "mu.json"
+        assert run(capsys, "gen", "--construction", "multiunit", "--k", "2",
+                   "--out", str(src))[0] == 0
+        doc = json.loads(src.read_text())
+        if edit == "nan-probabilities":
+            doc["elements"][5]["dist"] = [[0.0, math.nan], [2.0, math.nan]]
+        elif edit == "infinite-value":
+            doc["elements"][5]["dist"] = [[math.inf, 1.0]]
+        else:
+            doc["orders"][0]["weight"] = math.nan
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "exact", "--instance", str(bad), "--mode", "aware",
+                             "--order", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("construction,k,key,value", [
+        ("multiunit", 2, "k", 1.9), ("multiunit", 2, "k", True), ("multiunit", 2, "n", 8.0),
+        ("pairs", 3, "k", 2.7), ("tree", 2, "k", 2.9), ("explicit", None, "sets", [[0.5]]),
+        ("nested-scaled", None, "a", [0, 1.0])])
+    def test_usage_error_on_oracle_params_that_are_not_ints(self, tmp_path, capsys,
+                                                             construction, k, key, value):
+        # int() loaded "k": 1.9 and true as capacity 1, pair_match's 2.7 and
+        # tree_path's 2.9 as 2, and an explicit set [0.5] as a member no
+        # decision reaches
+        src = tmp_path / "inst.json"
+        if construction == "explicit":
+            oracle = ExplicitFamilyOracle(n=2, sets=(frozenset(), frozenset({0, 1})))
+            inst = Instance(name="explicit", dists=(ValueDistribution.deterministic(1.0),) * 2,
+                            feasibility=oracle)
+            src.write_text(json.dumps(instance_to_json_dict(inst)))
+        else:
+            argv = ("--k", str(k)) if k else ()
+            assert run(capsys, "gen", "--construction", construction, *argv,
+                       "--out", str(src))[0] == 0
+        argv = ("exact", "--mode", "prophet", "--instance")
+        assert run(capsys, *argv, str(src))[0] == 0
+        doc = json.loads(src.read_text())
+        params = doc["feasibility"]["params"]
+        params[key] = params[key] + value if construction == "explicit" else value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == USAGE_ERROR and out == ""
+        assert err == "error: counts and ids must be integers\n"
 
     @pytest.mark.parametrize("key", ["id", "name"])
     def test_usage_error_on_a_missing_key(self, pairs_file, tmp_path, capsys, key):

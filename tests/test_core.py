@@ -165,6 +165,17 @@ class TestValueDistribution:
         with pytest.raises(ValueError):
             ValueDistribution(((1.0, 0.7), (0.0, 0.7)))  # sums past 1
 
+    def test_non_finite_numbers_are_refused(self):
+        # a NaN fails no "v < 0" or "p > 1" test, and makes the sum test false
+        nan, inf = float("nan"), float("inf")
+        for atoms in (((nan, 1.0),), ((inf, 1.0),), ((1.0, 0.5), (inf, 0.5)),
+                      ((0.0, nan), (2.0, nan)), ((0.0, 0.5), (2.0, nan)),
+                      ((0.0, inf), (2.0, -inf))):
+            with pytest.raises(ValueError):
+                ValueDistribution(atoms)
+        with pytest.raises(ValueError):
+            ValueDistribution.bernoulli(nan)
+
     def test_bernoulli_edges_collapse(self):
         assert ValueDistribution.bernoulli(0.0).is_deterministic
         assert ValueDistribution.bernoulli(1.0).support() == (1.0,)
@@ -188,7 +199,9 @@ class TestOrders:
 
     def test_check_order_rejects_non_integer_ids(self):
         # a float id would be truncated onto another element by int()
-        for order in ([0.5, 1, 2.9], [0.0, 1, 2], np.array([0.0, 1.0, 2.0]), ["0", 1, 2]):
+        # a bool is an int to ``operator.index``, and True == 1
+        for order in ([0.5, 1, 2.9], [0.0, 1, 2], np.array([0.0, 1.0, 2.0]), ["0", 1, 2],
+                      [0, True, 2], [False, 1, 2]):
             with pytest.raises(ValueError, match="integers"):
                 check_order(order, 3)
 
@@ -202,6 +215,9 @@ class TestOrders:
             FiniteOrderDistribution(((0, 1),), (0.5,))  # weights must sum to 1
         with pytest.raises(ValueError):
             FiniteOrderDistribution(((0, 1), (1, 0)), (1.5, -0.5))
+        for weights in ((float("nan"), 1.0), (float("inf"), 0.5), (float("nan"),) * 2):
+            with pytest.raises(ValueError, match="positive and finite"):
+                FiniteOrderDistribution(((0, 1), (1, 0)), weights)
 
     def test_sample_index_is_deterministic(self):
         dist = FiniteOrderDistribution.uniform([(0, 1), (1, 0)])
@@ -445,7 +461,7 @@ class TestInstanceText:
 
     def test_matches_the_schema_on_unusual_values(self):
         # 1 and 1.0, 0.0 and -0.0 are equal atoms that render differently
-        dists = (ValueDistribution(((0.0, 0.25), (1.5, 0.5), (float("inf"), 0.25))),
+        dists = (ValueDistribution(((0.0, 0.25), (1.5, 0.5), (1e300, 0.25))),
                  ValueDistribution(((1, 1.0),)), ValueDistribution.deterministic(1.0),
                  ValueDistribution.deterministic(0.0), ValueDistribution.deterministic(-0.0))
         inst = Instance(name="prïor — 名前", dists=dists, feasibility=KUniformOracle(n=5, k=2),

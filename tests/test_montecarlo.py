@@ -34,7 +34,7 @@ class TestDeterminism:
                           trials=trials, seed=5, workers=1, fast=False)
         parallel = simulate(policy, inst, FixedOrder(orders.orders[0]),
                             trials=trials, seed=5, workers=4, fast=False)
-        assert json.dumps(serial.as_dict()) == json.dumps(parallel.as_dict())
+        assert json.dumps(dataclasses.asdict(serial)) == json.dumps(dataclasses.asdict(parallel))
 
     def test_worker_count_is_invisible_tree_path(self):
         inst = build_tree_instance(2)
@@ -64,7 +64,7 @@ class TestEstimates:
     def test_report_fields(self):
         rep = simulate(GreedyPolicy(), bernoulli_instance(), (0,),
                        trials=500, seed=3)
-        doc = rep.as_dict()
+        doc = dataclasses.asdict(rep)
         assert doc["trials"] == 500 and doc["seed"] == 3
         assert doc["ci95"][0] <= doc["mean"] <= doc["ci95"][1]
         assert 0.0 < doc["mean"] < 1.0

@@ -220,7 +220,7 @@ class TestNestedPolicies:
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         target = 1.0 - 0.9 ** 8
         for order in orders.orders:
-            val = eval_policy_exact(NestedAwarePolicy(), inst, order)
+            val = eval_policy_exact(NestedAwarePolicy(), inst, Knowledge(order))
             assert val == pytest.approx(target, abs=1e-12)
 
     def test_aware_completes_the_b_it_holds_whether_decided_or_forced(self):
@@ -245,8 +245,8 @@ class TestNestedPolicies:
         inst, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
         # guessing the realized index recovers the aware value; any other
         # guess only ever gets the single surviving unit element
-        right = eval_policy_exact(NestedGuessPolicy(i=2), inst, orders.orders[2])
-        wrong = eval_policy_exact(NestedGuessPolicy(i=2), inst, orders.orders[0])
+        right = eval_policy_exact(NestedGuessPolicy(i=2), inst, Knowledge(orders.orders[2]))
+        wrong = eval_policy_exact(NestedGuessPolicy(i=2), inst, Knowledge(orders.orders[0]))
         assert right == pytest.approx(1.0 - 0.9 ** 8, abs=1e-12)
         assert wrong == pytest.approx(0.1, abs=1e-12)
 

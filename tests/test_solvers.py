@@ -19,9 +19,10 @@ from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
 from ocrlab.errors import InconsistentState, PolicyViolation, TooLarge
 from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOracle,
                                 materialize)
+from ocrlab.montecarlo import TreeOrders
 from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                              MultiunitThresholdPolicy, NestedAwarePolicy,
-                             NestedGuessPolicy, TreeGamblePolicy)
+                             NestedGuessPolicy, TreeAwarePolicy, TreeGamblePolicy)
 from ocrlab.solvers import (MAX_REALIZATIONS, SolverLimits, SolveResult, _expectimax,
                             _iter_realizations, _order_trie, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
@@ -98,29 +99,37 @@ class TestAgainstBruteForce:
             assert unaware == pytest.approx(aware, abs=1e-12)
 
 
+def _criterion3_orders(count=50):
+    """Criterion 3's first sampled k = 4 tree orders (seed 2026)."""
+    tree = build_tree_instance(4)
+    return tree, [sample_tree_order(tree, 2026, i).order for i in range(count)]
+
+
 class TestTreePathInduction:
-    """The (position, deepest selected node) induction on tree instances
-    against the state expectimax on the one-order belief and the
+    """The (order-trie node, deepest selected node) induction on tree
+    instances against the state expectimax, its reference, and the
     brute-force search."""
 
     @staticmethod
     def _check(instance, order):
         tree = opt_aware_exact(instance, order).value
         one_order = FiniteOrderDistribution((order,), (1.0,))
-        assert tree == pytest.approx(
-            opt_unaware_exact(instance, one_order).value, abs=1e-12)
+        assert tree == pytest.approx(_expectimax(instance, one_order, WIDE).value, abs=1e-12)
         assert tree == pytest.approx(exhaustive_policy_search(instance, order), abs=1e-12)
+
+    @staticmethod
+    def _varied(k, rng):
+        """A k-ary tree whose elements have varied Bernoulli priors."""
+        n = TreePathOracle(k=k).n
+        return Instance(name=f"tree-k{k}-varied",
+                        dists=tuple(ValueDistribution.bernoulli(float(rng.uniform(0.2, 0.8)),
+                                                                hi=float(rng.integers(1, 4)))
+                                    for _ in range(n)),
+                        feasibility=TreePathOracle(k=k))
 
     def test_random_orders(self):
         rng = np.random.default_rng(41)
-        uniform = build_tree_instance(2)
-        varied = Instance(
-            name="tree-k2-varied",
-            dists=tuple(ValueDistribution.bernoulli(float(rng.uniform(0.2, 0.8)),
-                                                    hi=float(rng.integers(1, 4)))
-                        for _ in range(uniform.n)),
-            feasibility=TreePathOracle(k=2))
-        for instance in (uniform, varied):
+        for instance in (build_tree_instance(2), self._varied(2, rng)):
             for _ in range(20):
                 self._check(instance, tuple(int(e) for e in rng.permutation(instance.n)))
 
@@ -155,6 +164,44 @@ class TestTreePathInduction:
         with pytest.raises(TooLarge):
             opt_aware_exact(instance, tuple(range(instance.n)),
                             limits=SolverLimits(max_states=1))
+        # the k = 4 order's 341 trie nodes fit, its 2,164 slot updates do not
+        tree, (order,) = _criterion3_orders(1)
+        with pytest.raises(TooLarge, match="2164 states over the limit 2163"):
+            opt_aware_exact(tree, order, limits=SolverLimits(max_states=2163))
+        assert opt_aware_exact(tree, order, limits=SolverLimits(max_states=2164)).value > 0
+
+    def test_many_orders_match_the_expectimax_by_repr(self):
+        # with the construction's prior, the trie induction gives the
+        # expectimax's bits on every belief
+        rng = np.random.default_rng(43)
+        tree = build_tree_instance(2)
+        for count in (2, 3, 5, 8):
+            orders = FiniteOrderDistribution.uniform(
+                [tuple(int(e) for e in rng.permutation(tree.n)) for _ in range(count)])
+            assert repr(opt_unaware_exact(tree, orders).value) == \
+                repr(_expectimax(tree, orders, WIDE).value)
+        tree, orders = _criterion3_orders()
+        belief = FiniteOrderDistribution.uniform(orders)
+        res = opt_unaware_exact(tree, belief)
+        # the expectimax meets 1,883,965 states where the induction makes
+        # 43,376 slot updates
+        assert res.states_expanded == 43_376
+        assert repr(res.value) == repr(_expectimax(tree, belief, WIDE).value)
+
+    def test_many_orders_on_varied_priors(self):
+        # the expectimax sums p·w over the atoms of a forbidden select, where
+        # the induction leaves the slot as it is: equal up to rounding
+        rng = np.random.default_rng(47)
+        for k, counts in ((2, (2, 4, 8)), (4, (2, 5))):
+            instance = self._varied(k, rng)
+            for count in counts:
+                orders = [tuple(int(e) for e in rng.permutation(instance.n))
+                          for _ in range(count)]
+                weights = rng.uniform(0.5, 2.0, count)
+                belief = FiniteOrderDistribution(tuple(orders),
+                                                 tuple((weights / weights.sum()).tolist()))
+                assert opt_unaware_exact(instance, belief).value == pytest.approx(
+                    _expectimax(instance, belief, WIDE).value, rel=1e-12, abs=0)
 
 
 class TestStateMemo:
@@ -308,12 +355,11 @@ class TestProphet:
                 assert max_feasible_sum(oracle, values) == pytest.approx(brute, abs=1e-12)
 
 
-def _enumerated(policy, instance, order) -> float:
+def _enumerated(policy, instance, knowledge) -> float:
     """The forward pass's reference: every value realization, weighted by
     its probability, run step by step through ``run_policy``."""
-    kn = Knowledge(order) if policy.aware else Knowledge()
-    pstate = policy.start(instance, kn)
-    return sum(prob * run_policy(policy, instance, order, values, pstate).total
+    pstate = policy.start(instance, knowledge if policy.aware else Knowledge())
+    return sum(prob * run_policy(policy, instance, knowledge.order, values, pstate).total
                for values, prob in _iter_realizations(instance))
 
 
@@ -340,8 +386,24 @@ class TestPolicyEvaluation:
             cases += [(MultiunitThresholdPolicy(d, v), multi, order)
                       for d in (0.913, 1.152) for v in ("pi1", "pi2", "unaware")]
         for policy, instance, order in cases:
-            assert eval_policy_exact(policy, instance, order) == pytest.approx(
-                _enumerated(policy, instance, order), rel=1e-12, abs=0), (policy.name, order)
+            kn = Knowledge(order)
+            assert eval_policy_exact(policy, instance, kn) == pytest.approx(
+                _enumerated(policy, instance, kn), rel=1e-12, abs=0), (policy.name, order)
+
+    def test_tree_aware_is_told_the_labels(self):
+        # the aware reference policy reads the good/bad labels of the trial
+        # its order source realizes
+        tree = build_tree_instance(2)
+        for trial in range(8):
+            kn = TreeOrders().realize(tree, 2026, trial)
+            assert eval_policy_exact(TreeAwarePolicy(), tree, kn) == pytest.approx(
+                _enumerated(TreeAwarePolicy(), tree, kn), rel=1e-12, abs=0), trial
+        tree, orders = _criterion3_orders(5)
+        for trial, order in enumerate(orders):
+            kn = TreeOrders().realize(tree, 2026, trial)
+            assert kn.order == order
+            assert 0.0 < eval_policy_exact(TreeAwarePolicy(), tree, kn) <= \
+                opt_aware_exact(tree, order).value
 
     def test_forward_pass_errors_match_run_policy(self):
         class Bad(GreedyPolicy):
@@ -350,7 +412,7 @@ class TestPolicyEvaluation:
 
         inst = build_pairs_instance(2)[0]
         with pytest.raises(PolicyViolation):
-            eval_policy_exact(Bad(), inst, tuple(range(inst.n)))
+            eval_policy_exact(Bad(), inst, Knowledge(tuple(range(inst.n))))
 
         class Stuck(KUniformOracle):
             def allowed(self, count, e):
@@ -358,14 +420,14 @@ class TestPolicyEvaluation:
 
         stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck(n=inst.n, k=1))
         with pytest.raises(InconsistentState):
-            eval_policy_exact(GreedyPolicy(), stuck, tuple(range(inst.n)))
+            eval_policy_exact(GreedyPolicy(), stuck, Knowledge(tuple(range(inst.n))))
 
     def test_greedy_on_capacity_one(self):
         dists = (ValueDistribution.bernoulli(0.5, hi=2.0),
                  ValueDistribution.deterministic(1.0))
         inst = Instance(name="cap1", dists=dists, feasibility=KUniformOracle(n=2, k=1))
         # greedy takes the first positive value: 2 w.p. 1/2, else the unit
-        val = eval_policy_exact(GreedyPolicy(), inst, (0, 1))
+        val = eval_policy_exact(GreedyPolicy(), inst, Knowledge((0, 1)))
         assert val == pytest.approx(1.5, abs=1e-12)
 
     def test_ratio_exact_report(self):
@@ -397,7 +459,7 @@ class TestPolicyEvaluation:
                                  GreedyPolicy())
         assert report.prophet is None and report.competitive_ratio is None
         assert report.warnings
-        alg = eval_policy_exact(GreedyPolicy(), tree, order)
+        alg = eval_policy_exact(GreedyPolicy(), tree, Knowledge(order))
         assert report.min_ratio == alg / opt_aware_exact(tree, order).value
 
 
@@ -422,6 +484,17 @@ class TestGuards:
         with pytest.raises(TooLarge):
             opt_aware_exact(instance, orders.orders[0],
                             limits=SolverLimits(max_states=1))
+
+    def test_orders_of_another_length_are_refused(self):
+        # they once raised IndexError from inside the expectimax
+        instance, _ = build_multiunit_instance(2)
+        assert instance.n == 8
+        for n in (6, 10):
+            orders = FiniteOrderDistribution.uniform([tuple(range(n)), tuple(range(n))[::-1]])
+            with pytest.raises(ValueError, match="permutation of all element ids"):
+                opt_unaware_exact(instance, orders)
+            with pytest.raises(ValueError, match="permutation of all element ids"):
+                opt_aware_exact(instance, orders.orders[0])
 
     def test_order_trie_counts_its_nodes_against_the_budget(self):
         orders = FiniteOrderDistribution.uniform([(0, 1, 2), (2, 1, 0)])
@@ -479,9 +552,7 @@ class TestGuards:
         # greedy on the k = 2 tree in id order: the pairs are (deepest
         # selection or none, None), 1, 2, ..., 6 of them at the six positions
         instance = build_tree_instance(2)
-        order = tuple(range(instance.n))
-        eval_policy_exact(GreedyPolicy(), instance, order,
-                          limits=SolverLimits(max_states=21))
+        kn = Knowledge(tuple(range(instance.n)))
+        eval_policy_exact(GreedyPolicy(), instance, kn, limits=SolverLimits(max_states=21))
         with pytest.raises(TooLarge, match="state budget 20"):
-            eval_policy_exact(GreedyPolicy(), instance, order,
-                              limits=SolverLimits(max_states=20))
+            eval_policy_exact(GreedyPolicy(), instance, kn, limits=SolverLimits(max_states=20))
