@@ -19,10 +19,10 @@ from dataclasses import asdict
 
 from . import __version__
 from .analysis import derived_constants
-from .constructions import (build_multiunit_instance, build_nested_instance,
-                            build_nested_scaled, build_pairs_instance,
-                            build_partition_instance, build_partition_scaled,
-                            build_tree_instance, build_u_family, verify_u_family)
+from .constructions import (build_multiunit_instance, build_nested_scaled,
+                            build_pairs_instance, build_partition_instance,
+                            build_partition_scaled, build_tree_instance,
+                            build_u_family, verify_u_family)
 from .core import dump_instance, instance_text, load_instance
 from .errors import (EncodingOverflow, ExhaustedAttempts, OcrlabError, TooLarge)
 from .feasibility import MATERIALIZE_MAX_ELEMENTS, materialize
@@ -68,10 +68,6 @@ def cmd_gen(args) -> int:
         instance = build_tree_instance(args.k)
     elif name == "multiunit":
         instance, orders = build_multiunit_instance(args.k)
-    elif name == "nested":
-        if args.seed is None:
-            raise ValueError("--construction nested needs --seed")
-        instance, orders = build_nested_instance(args.x, seed=args.seed)
     elif name == "nested-scaled":
         instance, orders = build_nested_scaled(args.k1, args.k2, args.k3,
                                                u_size=args.usize, q=args.q)
@@ -268,21 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--construction", required=True,
-                     choices=["tree", "multiunit", "nested", "nested-scaled",
-                              "partition", "partition-scaled", "pairs"])
+                     choices=["tree", "multiunit", "nested-scaled", "partition",
+                              "partition-scaled", "pairs"])
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--k1", type=int, default=2)
     gen.add_argument("--k2", type=int, default=8)
     gen.add_argument("--k3", type=int, default=12)
     gen.add_argument("--usize", type=int, default=3)
     gen.add_argument("--q", type=float, default=0.1)
-    gen.add_argument("--x", type=int, default=2)
     gen.add_argument("--kappa", type=int, default=2)
     gen.add_argument("--blocks", type=int, default=4)
     gen.add_argument("--block-size", dest="block_size", type=int, default=4)
     gen.add_argument("--p", type=float, default=0.25)
-    gen.add_argument("--seed", type=int,
-                     help="seed of the nested U family; the other constructions ignore it")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

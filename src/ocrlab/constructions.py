@@ -156,7 +156,7 @@ def tree_arrival_positions(k: int) -> np.ndarray:
     return pos
 
 
-def sample_tree_order(instance: Instance, seed: int, trial: int = 0) -> TreeOrderRealization:
+def sample_tree_order(instance: Instance, seed: int, trial: int) -> TreeOrderRealization:
     """Draw the r-subsets, expand the arrival order (``_expand_tree_order``),
     and label every element good or bad (good = every branching step lies
     in its node's r-subset)."""
@@ -198,13 +198,11 @@ class UFamilyReport:
         return self.size_ok and self.membership_ok and self.intersection_ok
 
 
-def verify_u_family(family: UFamily, k3: int | None = None) -> UFamilyReport:
-    """Check the three family properties: per-set size in
-    [log2 n, (2a+1) log2 n], per-element membership at most
+def verify_u_family(family: UFamily, k3: int) -> UFamilyReport:
+    """Check the three family properties over a k3-element ground set:
+    per-set size in [log2 n, (2a+1) log2 n], per-element membership at most
     2(a+1) 2^k1 log2(n)/k3, and pairwise intersections at most a."""
     n, alpha, sets = family.n, family.alpha, family.sets
-    if k3 is None:
-        k3 = max((max(u) for u in sets if u), default=-1) + 1
     log_n = math.log2(n)
     lo, hi = log_n, (2 * alpha + 1) * log_n
     witnesses: dict[str, tuple] = {}
@@ -256,6 +254,10 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
     fixed_size = None
     if not (0.0 < p <= 1.0):
         fixed_size = min(k3, math.ceil(math.log2(n)))
+        if num_sets > math.comb(k3, fixed_size):
+            raise ExhaustedAttempts(
+                f"{num_sets} pairwise-distinct {fixed_size}-subsets of a "
+                f"{k3}-element ground set do not exist")
     for attempt in range(1, max_attempts + 1):
         rng = trial_rng(seed, attempt, STREAM_ORDER)
         if fixed_size is None:
@@ -275,71 +277,42 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
 
 # --- nested-phase instance ----------------------------------------------------
 
-def _check_nested_size(k1: int, k2: int, k3: int) -> None:
-    """Refuse over-cap part sizes before any of the 2**k1 U sets is drawn;
-    the oracle checks them again, for loaded files."""
+def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
+                        ) -> tuple[Instance, FiniteOrderDistribution]:
+    """The nested-phase instance at desk scale, with explicit part sizes: A
+    (k1 elements worth 0), B (k2 worth Bernoulli(q)) and C (k3 worth 0).
+    The 2**k1 U sets are consecutive size-``u_size`` slices of C, so a wrong
+    Phase-1 guess leaves exactly one selectable B element; order i is A, C
+    minus U_i, B, then U_i."""
+    # refused before any of the 2**k1 U sets is built; the oracle checks the
+    # sizes again, for loaded files
     _check_cap(k1 + k2 + k3)
     if k1 > NESTED_MAX_K1:
         raise TooLarge(f"A-part of {k1} elements over the cap {NESTED_MAX_K1}")
-
-
-def _nested_from_parts(name: str, k1: int, k2: int, k3: int,
-                       u_sets: tuple[frozenset[int], ...], q: float,
-                       metadata: dict[str, str]) -> tuple[Instance, FiniteOrderDistribution]:
-    n = k1 + k2 + k3
-    a_ids = tuple(range(k1))
-    b_ids = tuple(range(k1, k1 + k2))
-    c_ids = tuple(range(k1 + k2, n))
-    u_global = tuple(frozenset(c_ids[t] for t in u) for u in u_sets)
-    if len(set(u_global)) != len(u_global):
-        raise ExhaustedAttempts("U sets must be pairwise distinct to make orders decodable")
-    oracle = NestedPhaseOracle(a_ids=a_ids, b_ids=b_ids, c_ids=c_ids, u_sets=u_global)
-    dists = tuple([ValueDistribution.deterministic(0.0)] * k1
-                  + [ValueDistribution.bernoulli(q)] * k2
-                  + [ValueDistribution.deterministic(0.0)] * k3)
-    orders = []
-    for u in u_global:
-        phase2 = sorted(set(c_ids) - u)
-        orders.append(tuple(a_ids) + tuple(phase2) + tuple(b_ids) + tuple(sorted(u)))
-    inst = Instance(name=name, dists=dists, feasibility=oracle, metadata=metadata)
-    return inst, FiniteOrderDistribution.uniform(orders)
-
-
-def build_nested_instance(x: int, seed: int) -> tuple[Instance, FiniteOrderDistribution]:
-    """The asymptotic construction: n = 2^(2x) elements split into A, B, C
-    with a randomly built completion family. At desk scale the family build
-    is expected to fail (the family only exists for very large n)."""
-    n = 2 ** (2 * x)
-    k1 = 4 * x
-    k3 = int(math.isqrt(n))
-    k2 = n - k3 - k1
-    _check_nested_size(k1, k2, k3)
-    if k2 <= 0:
-        raise TooLarge("n too small to leave any B elements")
-    family = build_u_family(n=n, alpha=10, k1=k1, k3=k3, seed=seed)
-    meta = {"construction": "nested", "x": str(x), "k1": str(k1), "k2": str(k2),
-            "k3": str(k3), "q": repr(1.0 / n ** 2), "seed": str(seed),
-            "u_attempts": str(family.attempts)}
-    return _nested_from_parts(f"nested-x{x}", k1, k2, k3, family.sets, 1.0 / n ** 2, meta)
-
-
-def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
-                        ) -> tuple[Instance, FiniteOrderDistribution]:
-    """Desk-scale variant with explicit part sizes. The U sets are
-    consecutive slices of C, so a wrong Phase-1 guess leaves exactly one
-    selectable B element."""
-    _check_nested_size(k1, k2, k3)
     num_sets = 2 ** k1
     if num_sets * u_size > k3:
         raise TooLarge(f"{num_sets} disjoint size-{u_size} sets need "
                        f"k3 >= {num_sets * u_size}, got {k3}")
-    u_sets = tuple(frozenset(range(i * u_size, (i + 1) * u_size))
+    if u_size < 1 < num_sets:
+        raise ExhaustedAttempts("U sets must be pairwise distinct to make orders decodable")
+    n = k1 + k2 + k3
+    a_ids = tuple(range(k1))
+    b_ids = tuple(range(k1, k1 + k2))
+    c_ids = tuple(range(k1 + k2, n))
+    u_sets = tuple(frozenset(c_ids[t] for t in range(i * u_size, (i + 1) * u_size))
                    for i in range(num_sets))
+    oracle = NestedPhaseOracle(a_ids=a_ids, b_ids=b_ids, c_ids=c_ids, u_sets=u_sets)
+    dists = tuple([ValueDistribution.deterministic(0.0)] * k1
+                  + [ValueDistribution.bernoulli(q)] * k2
+                  + [ValueDistribution.deterministic(0.0)] * k3)
+    orders = [a_ids + tuple(sorted(set(c_ids) - u)) + b_ids + tuple(sorted(u))
+              for u in u_sets]
     meta = {"construction": "nested", "k1": str(k1), "k2": str(k2), "k3": str(k3),
             "u_size": str(u_size), "q": repr(q), "scaled": "true",
             "non_asymptotic": "true"}
-    name = f"nested-scaled-{k1}-{k2}-{k3}"
-    return _nested_from_parts(name, k1, k2, k3, u_sets, q, meta)
+    inst = Instance(name=f"nested-scaled-{k1}-{k2}-{k3}", dists=dists,
+                    feasibility=oracle, metadata=meta)
+    return inst, FiniteOrderDistribution.uniform(orders)
 
 
 # --- multi-unit (capacity k) instance ----------------------------------------

@@ -144,12 +144,12 @@ class ValueDistribution:
         return ValueDistribution(((float(value), 1.0),))
 
     @staticmethod
-    def bernoulli(p: float, hi: float = 1.0, lo: float = 0.0) -> "ValueDistribution":
+    def bernoulli(p: float, hi: float = 1.0) -> "ValueDistribution":
         if p >= 1.0:
             return ValueDistribution.deterministic(hi)
         if p <= 0.0:
-            return ValueDistribution.deterministic(lo)
-        return ValueDistribution(((float(hi), float(p)), (float(lo), 1.0 - float(p))))
+            return ValueDistribution.deterministic(0.0)
+        return ValueDistribution(((float(hi), float(p)), (0.0, 1.0 - float(p))))
 
     @property
     def is_deterministic(self) -> bool:

@@ -398,9 +398,9 @@ def _from_bits(text: str) -> int:
     return int(text, 2) if text else 0
 
 
-def materialize(oracle, n: int | None = None) -> tuple[frozenset[int], ...]:
+def materialize(oracle) -> tuple[frozenset[int], ...]:
     """Enumerate the full family by brute force; test-scale only."""
-    n = oracle.n if n is None else n
+    n = oracle.n
     if n > MATERIALIZE_MAX_ELEMENTS:
         raise TooLarge(f"materialization capped at {MATERIALIZE_MAX_ELEMENTS} elements")
     out = []

@@ -386,6 +386,8 @@ def eval_policy_exact(policy, instance: Instance, knowledge: Knowledge,
     trial's ``knowledge`` if it is aware, by one forward pass of
     ``run_policy``'s steps: per position, a dict from (oracle state, policy
     state) to probability mass, summing the gain as mass moves."""
+    if knowledge.order is None:
+        raise ValueError("eval_policy_exact needs the trial's order; the knowledge has none")
     order = check_order(knowledge.order, instance.n)
     oracle = instance.feasibility
     told = knowledge if policy.aware else Knowledge()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
@@ -24,7 +25,7 @@ def run(capsys, *argv):
 def multiunit_file(tmp_path, capsys):
     path = tmp_path / "mu.json"
     code, _, _ = run(capsys, "gen", "--construction", "multiunit", "--k", "4",
-                     "--seed", "0", "--out", str(path))
+                     "--out", str(path))
     assert code == 0
     return str(path)
 
@@ -33,7 +34,7 @@ def multiunit_file(tmp_path, capsys):
 def pairs_file(tmp_path, capsys):
     path = tmp_path / "pairs.json"
     assert run(capsys, "gen", "--construction", "pairs", "--k", "3",
-               "--seed", "0", "--out", str(path))[0] == 0
+               "--out", str(path))[0] == 0
     return str(path)
 
 
@@ -41,7 +42,7 @@ class TestGen:
     def test_multiunit_summary(self, tmp_path, capsys):
         path = tmp_path / "mu100.json"
         code, out, _ = run(capsys, "gen", "--construction", "multiunit",
-                           "--k", "100", "--seed", "0", "--out", str(path))
+                           "--k", "100", "--out", str(path))
         assert code == 0
         summary = json.loads(out)
         assert summary["n"] == 400 and summary["orders"] == 2
@@ -49,13 +50,13 @@ class TestGen:
     def test_tree_k4_size(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         code, out, _ = run(capsys, "gen", "--construction", "tree", "--k", "4",
-                           "--seed", "7", "--out", str(path))
+                           "--out", str(path))
         assert code == 0
         assert json.loads(out)["n"] == 340
 
     def test_partition_summary(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "--construction", "partition", "--kappa", "2",
-                           "--seed", "0", "--out", str(tmp_path / "part.json"))
+                           "--out", str(tmp_path / "part.json"))
         assert code == 0
         summary = json.loads(out)
         assert summary["n"] == 16 and summary["orders"] == 0
@@ -65,7 +66,7 @@ class TestGen:
 
     def test_small_instance_reports_family_size(self, pairs_file, capsys):
         code, out, _ = run(capsys, "gen", "--construction", "pairs", "--k", "2",
-                           "--seed", "0", "--out", pairs_file)
+                           "--out", pairs_file)
         assert code == 0
         assert json.loads(out)["family_size"] == 2
 
@@ -179,7 +180,7 @@ class TestExact:
         # 400 elements: no element cap applies, the solve meets 35,350 states
         path = str(tmp_path / "mu100.json")
         assert run(capsys, "gen", "--construction", "multiunit", "--k", "100",
-                   "--seed", "0", "--out", path)[0] == 0
+                   "--out", path)[0] == 0
         code, out, _ = run(capsys, "exact", "--instance", path, "--mode", "aware")
         assert code == 0
         doc = json.loads(out)
@@ -206,7 +207,7 @@ class TestExact:
     def test_unaware_needs_orders(self, tmp_path, capsys):
         path = tmp_path / "part.json"
         run(capsys, "gen", "--construction", "partition-scaled", "--blocks", "2",
-            "--block-size", "2", "--p", "0.5", "--seed", "0", "--out", str(path))
+            "--block-size", "2", "--p", "0.5", "--out", str(path))
         code, _, err = run(capsys, "exact", "--instance", str(path),
                            "--mode", "unaware")
         assert code == USAGE_ERROR and "orders" in err
@@ -246,15 +247,16 @@ class TestExitCodes:
                          "--trials", "100", "--seed", "0")
         assert code == USAGE_ERROR
 
-    def test_resource_error_on_impossible_family(self, tmp_path, capsys):
-        code, _, err = run(capsys, "gen", "--construction", "nested", "--x", "2",
-                           "--seed", "0", "--out", str(tmp_path / "n.json"))
-        assert code == RESOURCE_ERROR and "distinct" in err
+    def test_resource_error_on_impossible_family(self, capsys):
+        # 2**16 sets of size 8 over 16 elements: only C(16, 8) = 12,870 exist
+        code, out, err = run(capsys, "verify", "--what", "ufamily", "--n", "256",
+                             "--alpha", "10", "--k1", "16", "--k3", "16", "--seed", "0")
+        assert code == RESOURCE_ERROR and out == "" and "distinct" in err
 
     def test_resource_error_on_a_long_exact_reference(self, tmp_path, capsys):
         path = str(tmp_path / "mu1000.json")
         assert run(capsys, "gen", "--construction", "multiunit", "--k", "1000",
-                   "--seed", "0", "--out", path)[0] == 0
+                   "--out", path)[0] == 0
         code, out, err = run(capsys, "ratio", "--instance", path, "--policy", "greedy",
                              "--trials", "100", "--seed", "0")
         assert code == RESOURCE_ERROR and out == ""
@@ -263,7 +265,7 @@ class TestExitCodes:
     def test_usage_error_on_a_truncated_instance_file(self, tmp_path, capsys):
         src = tmp_path / "t.json"
         assert run(capsys, "gen", "--construction", "tree", "--k", "2",
-                   "--seed", "0", "--out", str(src))[0] == 0
+                   "--out", str(src))[0] == 0
         doc = json.loads(src.read_text())
         doc["elements"] = doc["elements"][:4]
         cut = tmp_path / "cut.json"
@@ -297,26 +299,45 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "--instance" in err
 
-    def test_resource_error_on_nested_x6_before_the_family_draw(self, tmp_path, capsys):
-        # 2**24 U sets would be drawn before the oracle's A-part cap
-        code, out, err = run(capsys, "gen", "--construction", "nested", "--x", "6",
-                             "--seed", "0", "--out", str(tmp_path / "n.json"))
-        assert code == RESOURCE_ERROR and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "24" in err
+    @pytest.mark.parametrize("usize", ["0", "-1"])
+    def test_resource_error_on_equal_u_sets(self, tmp_path, capsys, usize):
+        # two or more U sets that are empty slices of C cannot be told apart
+        path = tmp_path / "n.json"
+        code, out, err = run(capsys, "gen", "--construction", "nested-scaled",
+                             "--usize", usize, "--out", str(path))
+        assert code == RESOURCE_ERROR and out == "" and not path.exists()
+        assert err == "error: U sets must be pairwise distinct to make orders decodable\n"
 
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",
                          "--k1", "2", "--k2", "8", "--k3", "8", "--usize", "3",
-                         "--seed", "0", "--out", str(tmp_path / "n.json"))
+                         "--out", str(tmp_path / "n.json"))
         assert code == RESOURCE_ERROR
 
     def test_gen_nested_scaled_k3_12_works(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "--construction", "nested-scaled",
                            "--k1", "2", "--k2", "8", "--k3", "12", "--usize", "3",
-                           "--seed", "0", "--out", str(tmp_path / "n.json"))
+                           "--out", str(tmp_path / "n.json"))
         assert code == 0
         summary = json.loads(out)
         assert summary["n"] == 22 and summary["orders"] == 4
+
+    @pytest.mark.parametrize("parts,sha256", [
+        ("2 8 12 3 0.1", "f71f24adc4cc6ee20e629136021eb1288c6bbeed0b05a207ca755c357c39d610"),
+        ("3 16 32 4 0.1", "106ca13407da8f2aa73c18144de9cc016a7c5105397a552b080fca4bf8f77fd2"),
+        ("0 1 2 0 0.1", "7bbdf4438369bcdfaa3b94c60a42c498ae061b74eb782b4d0f2697ba3d68ecb9"),
+        ("2 4 8 2 0.25", "19f8958898c8bf99388b5ef5d64fe8f79d8744dd72a27aebb5a24362b3d518c8"),
+        ("0 1 2 -1 0.1", "5392240cd47f66f98187c239376c12ecc93dbb55a9984eeb7a0032675c69fd11")],
+        ids=["2-8-12-3", "3-16-32-4", "0-1-2-0", "2-4-8-2", "0-1-2-minus1"])
+    def test_gen_nested_scaled_bytes(self, tmp_path, capsys, parts, sha256):
+        # pinned file bytes; with --k1 0 the one U set may be empty, as
+        # --usize 0 or -1 makes it
+        path = tmp_path / "n.json"
+        argv = [f"--{key}={v}" for key, v in zip(("k1", "k2", "k3", "usize", "q"),
+                                                   parts.split())]
+        assert run(capsys, "gen", "--construction", "nested-scaled", *argv,
+                   "--out", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_resource_error_on_a_tree_over_the_element_cap(self, tmp_path, capsys):
         # k = 8 has 19,173,960 elements; the cap is checked before any is built
@@ -404,29 +425,18 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == ""
         assert err == f"error: malformed instance file: missing key '{key}'\n"
 
-    def test_gen_nested_needs_a_seed(self, tmp_path, capsys):
-        code, out, err = run(capsys, "gen", "--construction", "nested", "--x", "2",
-                             "--out", str(tmp_path / "n.json"))
-        assert code == USAGE_ERROR and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
-
-    def test_gen_tree_without_a_seed(self, tmp_path, capsys):
-        texts = []
-        for seed in ([], ["--seed", "7"]):
-            path = tmp_path / f"t{len(seed)}.json"
-            assert run(capsys, "gen", "--construction", "tree", "--k", "2", *seed,
-                       "--out", str(path))[0] == 0
-            texts.append(path.read_bytes())
-        assert texts[0] == texts[1]
-
-    def test_gen_nested_scaled_ignores_the_seed(self, tmp_path, capsys):
-        texts = []
-        for seed in ("0", "7"):
-            path = tmp_path / f"n{seed}.json"
-            assert run(capsys, "gen", "--construction", "nested-scaled",
-                       "--seed", seed, "--out", str(path))[0] == 0
-            texts.append(path.read_bytes())
-        assert texts[0] == texts[1]
+    @pytest.mark.parametrize("argv", [
+        ("--construction", "nested"), ("--construction", "tree", "--x", "2"),
+        ("--construction", "tree", "--seed", "7"),
+        ("--construction", "nested-scaled", "--seed", "0")],
+        ids=["nested", "x", "tree-seed", "nested-scaled-seed"])
+    def test_gen_has_no_nested_x_or_seed(self, tmp_path, capsys, argv):
+        # no construction reads a seed, and the nested ones are desk-scale only
+        path = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv, "--out", str(path)])
+        assert exc.value.code == USAGE_ERROR and not path.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("construction,policy,order", [
         ("multiunit", "tree_gamble", "0"), ("multiunit", "nested_guess", "0"),

@@ -10,8 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ocrlab.constructions import (UFamily, build_multiunit_instance,
-                                  build_nested_instance, build_nested_scaled,
+from ocrlab.constructions import (UFamily, build_multiunit_instance, build_nested_scaled,
                                   build_pairs_instance, build_partition_instance,
                                   build_partition_scaled, build_tree_instance,
                                   build_u_family, sample_tree_order,
@@ -157,6 +156,21 @@ class TestUFamily:
     def test_pigeonhole_rejection(self):
         with pytest.raises(ExhaustedAttempts):
             build_u_family(n=16, alpha=10, k1=8, k3=4, seed=0)
+        # fixed-size sets: 2**16 sets of size 8 over 16 elements, but only
+        # C(16, 8) = 12,870 exist; checked against 2**16, this took 100
+        # draws (92.8 s) to fail
+        t0 = time.perf_counter()
+        with pytest.raises(ExhaustedAttempts, match="distinct 8-subsets"):
+            build_u_family(n=256, alpha=10, k1=16, k3=16, seed=0)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_bernoulli_membership(self):
+        # p = (alpha + 1) log2(n) / k3 = 0.25 lies in (0, 1], so each
+        # element joins each set independently: the sizes differ
+        family = build_u_family(n=16, alpha=1, k1=2, k3=32, seed=0)
+        assert family.attempts == 1
+        assert sorted(len(u) for u in family.sets) == [4, 6, 8, 10]
+        assert verify_u_family(family, k3=32).all_ok
 
 
 class TestNestedBuilders:
@@ -178,20 +192,11 @@ class TestNestedBuilders:
         with pytest.raises(TooLarge):
             build_nested_scaled(2, 8, 8, u_size=3, q=0.1)
 
-    def test_full_construction_fails_at_desk_scale(self):
-        # x=2 gives 2^8 index sets over a 4-element ground set: impossible
-        with pytest.raises(ExhaustedAttempts):
-            build_nested_instance(2, seed=0)
-
-    def test_full_construction_too_small(self):
-        with pytest.raises(TooLarge):
-            build_nested_instance(1, seed=0)
-
-    def test_full_construction_checks_the_a_part_cap_first(self):
-        # x = 6 means k1 = 24 > NESTED_MAX_K1: refused before 2**24 U sets are drawn
+    def test_scaled_checks_the_a_part_cap_first(self):
+        # k1 = 24 > NESTED_MAX_K1: refused before 2**24 empty U sets are built
         t0 = time.perf_counter()
         with pytest.raises(TooLarge, match="A-part of 24 elements"):
-            build_nested_instance(6, seed=0)
+            build_nested_scaled(24, 4, 8, u_size=0, q=0.1)
         assert time.perf_counter() - t0 < 1.0
 
 

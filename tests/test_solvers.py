@@ -405,6 +405,13 @@ class TestPolicyEvaluation:
             assert 0.0 < eval_policy_exact(TreeAwarePolicy(), tree, kn) <= \
                 opt_aware_exact(tree, order).value
 
+    def test_needs_the_trial_order(self):
+        # an unaware policy's Knowledge() carries no order to walk; this
+        # raised "order ids must be integers" from inside check_order
+        instance = build_pairs_instance(2)[0]
+        with pytest.raises(ValueError, match="needs the trial's order"):
+            eval_policy_exact(GreedyPolicy(), instance, Knowledge())
+
     def test_forward_pass_errors_match_run_policy(self):
         class Bad(GreedyPolicy):
             def decide(self, pstate, e, v):
