@@ -20,9 +20,8 @@ from dataclasses import asdict
 from . import __version__
 from .analysis import derived_constants
 from .constructions import (build_multiunit_instance, build_nested_scaled,
-                            build_pairs_instance, build_partition_instance,
-                            build_partition_scaled, build_tree_instance,
-                            build_u_family, verify_u_family)
+                            build_pairs_instance, build_partition_scaled,
+                            build_tree_instance, build_u_family, verify_u_family)
 from .core import dump_instance, instance_text, load_instance
 from .errors import (EncodingOverflow, ExhaustedAttempts, OcrlabError, TooLarge)
 from .feasibility import MATERIALIZE_MAX_ELEMENTS, materialize
@@ -71,8 +70,6 @@ def cmd_gen(args) -> int:
     elif name == "nested-scaled":
         instance, orders = build_nested_scaled(args.k1, args.k2, args.k3,
                                                u_size=args.usize, q=args.q)
-    elif name == "partition":
-        instance = build_partition_instance(args.kappa)
     elif name == "partition-scaled":
         instance = build_partition_scaled(args.blocks, args.block_size, args.p)
     elif name == "pairs":
@@ -227,7 +224,7 @@ def cmd_constants(args) -> int:
 def cmd_verify(args) -> int:
     if args.what == "ufamily":
         family = build_u_family(n=args.n, alpha=args.alpha, k1=args.k1, k3=args.k3,
-                                seed=args.seed, max_attempts=args.max_attempts)
+                                seed=args.seed)
         report = verify_u_family(family, k3=args.k3)
         doc = _wrap("verify", {"what": "ufamily", "n": args.n, "alpha": args.alpha,
                                "k1": args.k1, "k3": args.k3, "seed": args.seed},
@@ -264,15 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--construction", required=True,
-                     choices=["tree", "multiunit", "nested-scaled", "partition",
-                              "partition-scaled", "pairs"])
+                     choices=["tree", "multiunit", "nested-scaled", "partition-scaled",
+                              "pairs"])
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--k1", type=int, default=2)
     gen.add_argument("--k2", type=int, default=8)
     gen.add_argument("--k3", type=int, default=12)
     gen.add_argument("--usize", type=int, default=3)
     gen.add_argument("--q", type=float, default=0.1)
-    gen.add_argument("--kappa", type=int, default=2)
     gen.add_argument("--blocks", type=int, default=4)
     gen.add_argument("--block-size", dest="block_size", type=int, default=4)
     gen.add_argument("--p", type=float, default=0.25)
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k1", type=int, default=4)
     ver.add_argument("--k3", type=int, default=64)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--max-attempts", dest="max_attempts", type=int, default=100)
     ver.add_argument("--check", action="store_true")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)

@@ -21,6 +21,7 @@ from .errors import ExhaustedAttempts, TooLarge
 from .feasibility import (ELEMENT_CAP, NESTED_MAX_K1, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
                           tree_layout)
+from .policies import Knowledge
 
 
 def _check_cap(n: int) -> None:
@@ -47,18 +48,6 @@ def build_tree_instance(k: int) -> Instance:
         feasibility=oracle,
         metadata={"construction": "tree", "k": str(k), "n": str(n)},
     )
-
-
-@dataclass(frozen=True)
-class TreeOrderRealization:
-    """One draw of the tree order distribution: the per-node half-subsets r
-    as ``_sample_tree_raw``'s bool rows (row 0 the root's, row e + 1 node
-    e's, over its k children), the resulting arrival order, and the good/bad
-    label of every element."""
-
-    in_r: np.ndarray
-    order: ArrivalOrder
-    good: np.ndarray  # bool per element id
 
 
 def tree_r_node_count(k: int) -> int:
@@ -156,10 +145,11 @@ def tree_arrival_positions(k: int) -> np.ndarray:
     return pos
 
 
-def sample_tree_order(instance: Instance, seed: int, trial: int) -> TreeOrderRealization:
-    """Draw the r-subsets, expand the arrival order (``_expand_tree_order``),
-    and label every element good or bad (good = every branching step lies
-    in its node's r-subset)."""
+def sample_tree_order(instance: Instance, seed: int, trial: int) -> Knowledge:
+    """One draw of the tree order distribution, as the aware policies'
+    ``Knowledge``: draw the r-subsets, expand the arrival order
+    (``_expand_tree_order``), and label every element good or bad (good =
+    every branching step lies in its node's r-subset)."""
     k = instance.feasibility.k
     offs = tree_layout(k).offsets
     in_r = _sample_tree_raw(k, seed, [trial])[0]
@@ -172,11 +162,14 @@ def sample_tree_order(instance: Instance, seed: int, trial: int) -> TreeOrderRea
     for _ in range(2):
         prev = np.repeat(prev, k)
         layers.append(prev)
-    return TreeOrderRealization(in_r=in_r, order=tuple(order),
-                                good=np.concatenate(layers))
+    return Knowledge(tuple(order), np.concatenate(layers))
 
 
 # --- random set family (nested-phase completion sets) ------------------------
+
+# the draws ``build_u_family`` makes before it gives up
+U_FAMILY_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class UFamily:
@@ -236,9 +229,9 @@ def verify_u_family(family: UFamily, k3: int) -> UFamilyReport:
     return UFamilyReport(size_ok, membership_ok, intersection_ok, witnesses)
 
 
-def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
-                   max_attempts: int = 100) -> UFamily:
-    """Resample independent memberships until the three properties hold.
+def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int) -> UFamily:
+    """Resample independent memberships until the three properties hold, for
+    at most ``U_FAMILY_ATTEMPTS`` draws.
 
     The membership probability is (alpha+1)*log2(n)/k3. When that leaves
     [0, 1] (always at desk scale), each set is drawn instead as a uniform
@@ -258,7 +251,7 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
             raise ExhaustedAttempts(
                 f"{num_sets} pairwise-distinct {fixed_size}-subsets of a "
                 f"{k3}-element ground set do not exist")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, U_FAMILY_ATTEMPTS + 1):
         rng = trial_rng(seed, attempt, STREAM_ORDER)
         if fixed_size is None:
             member = rng.random((num_sets, k3)) < p
@@ -271,7 +264,7 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int,
         if len(set(sets)) == num_sets and verify_u_family(family, k3=k3).all_ok:
             return family
     raise ExhaustedAttempts(
-        f"no valid family after {max_attempts} attempts "
+        f"no valid family after {U_FAMILY_ATTEMPTS} attempts "
         f"(n={n}, k1={k1}, k3={k3}, alpha={alpha})")
 
 
@@ -286,6 +279,9 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
     minus U_i, B, then U_i."""
     # refused before any of the 2**k1 U sets is built; the oracle checks the
     # sizes again, for loaded files
+    for part, size, least in (("k1", k1, 0), ("k2", k2, 1), ("k3", k3, 0)):
+        if size < least:
+            raise ValueError(f"{part} must be at least {least}, got {size}")
     _check_cap(k1 + k2 + k3)
     if k1 > NESTED_MAX_K1:
         raise TooLarge(f"A-part of {k1} elements over the cap {NESTED_MAX_K1}")
@@ -295,6 +291,9 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
                        f"k3 >= {num_sets * u_size}, got {k3}")
     if u_size < 1 < num_sets:
         raise ExhaustedAttempts("U sets must be pairwise distinct to make orders decodable")
+    dists = tuple([ValueDistribution.deterministic(0.0)] * k1
+                  + [ValueDistribution.bernoulli(q)] * k2
+                  + [ValueDistribution.deterministic(0.0)] * k3)
     n = k1 + k2 + k3
     a_ids = tuple(range(k1))
     b_ids = tuple(range(k1, k1 + k2))
@@ -302,9 +301,6 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
     u_sets = tuple(frozenset(c_ids[t] for t in range(i * u_size, (i + 1) * u_size))
                    for i in range(num_sets))
     oracle = NestedPhaseOracle(a_ids=a_ids, b_ids=b_ids, c_ids=c_ids, u_sets=u_sets)
-    dists = tuple([ValueDistribution.deterministic(0.0)] * k1
-                  + [ValueDistribution.bernoulli(q)] * k2
-                  + [ValueDistribution.deterministic(0.0)] * k3)
     orders = [a_ids + tuple(sorted(set(c_ids) - u)) + b_ids + tuple(sorted(u))
               for u in u_sets]
     meta = {"construction": "nested", "k1": str(k1), "k2": str(k2), "k3": str(k3),
@@ -351,24 +347,16 @@ def build_multiunit_instance(k: int) -> tuple[Instance, FiniteOrderDistribution]
 
 # --- calibration examples -----------------------------------------------------
 
-def build_partition_instance(kappa: int) -> Instance:
-    """Full-size partition example: 2^(2^kappa) elements in blocks of size
-    2^kappa, each worth 1 with probability 2^-kappa."""
-    block_size = 2 ** kappa
-    n = 2 ** block_size
-    return build_partition_scaled(blocks=n // block_size, block_size=block_size,
-                                  p=1.0 / block_size, name=f"partition-kappa{kappa}")
-
-
-def build_partition_scaled(blocks: int, block_size: int, p: float,
-                           name: str | None = None) -> Instance:
+def build_partition_scaled(blocks: int, block_size: int, p: float) -> Instance:
+    """``blocks`` blocks of ``block_size`` elements, each worth 1 with
+    probability p; the feasible sets are the subsets of one block."""
     n = blocks * block_size
     _check_cap(n)
     dist = ValueDistribution.bernoulli(p)
     block_ids = tuple(tuple(range(b * block_size, (b + 1) * block_size))
                       for b in range(blocks))
     return Instance(
-        name=name or f"partition-{blocks}x{block_size}",
+        name=f"partition-{blocks}x{block_size}",
         dists=tuple(dist for _ in range(n)),
         feasibility=PartitionOneBlockOracle(blocks=block_ids),
         metadata={"construction": "partition", "blocks": str(blocks),
@@ -379,6 +367,8 @@ def build_partition_scaled(blocks: int, block_size: int, p: float,
 def build_pairs_instance(k: int) -> tuple[Instance, FiniteOrderDistribution]:
     """n = 2k elements, feasible sets exactly {i, i+k}; the first k are worth
     0, the rest 1 with probability 1/n. Canonical order 0..n-1."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = 2 * k
     _check_cap(n)
     dists = tuple([ValueDistribution.deterministic(0.0)] * k

@@ -145,9 +145,12 @@ class ValueDistribution:
 
     @staticmethod
     def bernoulli(p: float, hi: float = 1.0) -> "ValueDistribution":
-        if p >= 1.0:
+        """``hi`` with probability p, else 0; deterministic at p = 0 or 1."""
+        if not 0.0 <= p <= 1.0:  # written so that a NaN fails it
+            raise ValueError(f"Bernoulli probability must lie in [0, 1], got {p!r}")
+        if p == 1.0:
             return ValueDistribution.deterministic(hi)
-        if p <= 0.0:
+        if p == 0.0:
             return ValueDistribution.deterministic(0.0)
         return ValueDistribution(((float(hi), float(p)), (0.0, 1.0 - float(p))))
 
@@ -176,7 +179,9 @@ class Instance:
     dists: tuple[ValueDistribution, ...]
     feasibility: "object"
     metadata: dict[str, str] = field(default_factory=dict)
-    _groups: list | None = field(default=None, repr=False, compare=False)
+    # a cache of ``sample_values``' groups: not an argument, so that a copy
+    # made by ``dataclasses.replace`` regroups its own dists
+    _groups: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dists) < 1:

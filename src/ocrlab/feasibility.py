@@ -329,6 +329,8 @@ class NestedPhaseOracle(_FamilyState):
             raise TooLarge(f"A-part capped at {NESTED_MAX_K1} elements")
         if len(self.u_sets) != 2 ** k1:
             raise ValueError("need one U set per subset of A")
+        if not self.b_ids:
+            raise ValueError("B-part needs at least one element")
         n = len(self.a_ids) + len(self.b_ids) + len(self.c_ids)
         if sorted([*self.a_ids, *self.b_ids, *self.c_ids]) != list(range(n)):
             raise ValueError("A, B, C must partition a dense id range")

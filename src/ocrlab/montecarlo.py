@@ -93,8 +93,7 @@ class TreeOrders:
         return trial if self.fixed is None else self.fixed
 
     def realize(self, instance, seed, trial):
-        real = sample_tree_order(instance, seed, self.order_trial(trial))
-        return Knowledge(real.order, real.good)
+        return sample_tree_order(instance, seed, self.order_trial(trial))
 
 
 def _as_source(order_source, instance: Instance):

@@ -248,8 +248,7 @@ def test_criterion_6_set_family():
     assert rep.witnesses["intersection"] == (0, 1, 2)
     attempts = []
     for seed in range(5):
-        family = build_u_family(n=2 ** 16, alpha=10, k1=4, k3=64, seed=seed,
-                                max_attempts=100)
+        family = build_u_family(n=2 ** 16, alpha=10, k1=4, k3=64, seed=seed)
         assert verify_u_family(family, k3=64).all_ok
         attempts.append(family.attempts)
     elapsed = time.perf_counter() - t0

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
+from ocrlab import cli
 from ocrlab.cli import CHECK_FAILURE, RESOURCE_ERROR, USAGE_ERROR, main
 from ocrlab.constructions import build_multiunit_instance
 from ocrlab.core import Instance, ValueDistribution, instance_to_json_dict
@@ -55,10 +57,11 @@ class TestGen:
         assert json.loads(out)["n"] == 340
 
     def test_partition_summary(self, tmp_path, capsys):
-        code, out, _ = run(capsys, "gen", "--construction", "partition", "--kappa", "2",
+        code, out, _ = run(capsys, "gen", "--construction", "partition-scaled",
                            "--out", str(tmp_path / "part.json"))
         assert code == 0
         summary = json.loads(out)
+        assert summary["name"] == "partition-4x4"
         assert summary["n"] == 16 and summary["orders"] == 0
         assert summary["metadata"]["blocks"] == "4" and summary["metadata"]["p"] == "0.25"
         # four blocks of four: 4 * 2**4 subsets, the empty set counted once
@@ -119,6 +122,17 @@ class TestSimulateAndRatio:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_sampled_orders_need_orders(self, tmp_path, capsys):
+        path = tmp_path / "part.json"
+        assert run(capsys, "gen", "--construction", "partition-scaled",
+                   "--out", str(path))[0] == 0
+        for argv in (("simulate", "--policy", "greedy", "--order", "sampled"),
+                     ("ratio", "--policy", "greedy")):
+            code, out, err = run(capsys, *argv, "--trials", "10", "--seed", "0",
+                                 "--instance", str(path))
+            assert code == USAGE_ERROR and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and "order" in err
 
     def test_simulate_csv(self, multiunit_file, capsys):
         code, out, _ = run(capsys, "simulate", "--instance", multiunit_file,
@@ -213,10 +227,34 @@ class TestExact:
         assert code == USAGE_ERROR and "orders" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "greedy", "--trials", "50", "--seed", "1", "--format", "csv"),
+    ("exact", "--mode", "aware"),
+    ("constants", "--format", "csv")], ids=["simulate", "exact", "constants"])
+def test_out_writes_the_printed_report(multiunit_file, tmp_path, capsys, argv):
+    if argv[0] != "constants":
+        argv = (*argv, "--instance", multiunit_file)
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed
+    path = tmp_path / "report.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
 class TestConstantsAndVerify:
     def test_constants_check_passes(self, capsys):
         code, out, _ = run(capsys, "constants", "--check")
         assert code == 0
+        assert len(json.loads(out)["rows"]) == 16
+
+    def test_constants_check_fails_on_one_bad_row(self, monkeypatch, capsys):
+        rows = cli.derived_constants()
+        bad = [dataclasses.replace(r, value=r.value + 0.01) if r.name == "inv_c_prime" else r
+               for r in rows]
+        monkeypatch.setattr(cli, "derived_constants", lambda: bad)
+        code, out, err = run(capsys, "constants", "--check")
+        assert code == CHECK_FAILURE and err == "constants check failed\n"
         assert len(json.loads(out)["rows"]) == 16
 
     def test_constants_csv(self, capsys):
@@ -298,6 +336,28 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--what", "instance")
         assert code == USAGE_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "--instance" in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("nested-scaled", "--k1", "-1"), "k1 must be at least 0, got -1"),
+        (("nested-scaled", "--k3", "-1"), "k3 must be at least 0, got -1"),
+        (("nested-scaled", "--k2", "0"), "k2 must be at least 1, got 0"),
+        (("pairs", "--k", "0"), "k must be at least 1"),
+        (("pairs", "--k", "-2"), "k must be at least 1"),
+        (("nested-scaled", "--q", "1.5"), "got 1.5"),
+        (("nested-scaled", "--q", "-0.5"), "got -0.5"),
+        (("partition-scaled", "--p", "1.5"), "got 1.5"),
+        (("partition-scaled", "--p", "-1"), "got -1.0")],
+        ids=["k1-negative", "k3-negative", "k2-zero", "pairs-k-zero", "pairs-k-negative",
+             "q-above-1", "q-negative", "p-above-1", "p-negative"])
+    def test_usage_error_on_a_size_or_probability_that_builds_nothing(
+            self, tmp_path, capsys, argv, named):
+        # these gave a TypeError, ZeroDivisionError or shift-count traceback,
+        # a resource error, a file no set of which is feasible (--k2 0), or a
+        # constant value in place of the probability
+        path = tmp_path / "inst.json"
+        code, out, err = run(capsys, "gen", "--construction", *argv, "--out", str(path))
+        assert code == USAGE_ERROR and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
     @pytest.mark.parametrize("usize", ["0", "-1"])
     def test_resource_error_on_equal_u_sets(self, tmp_path, capsys, usize):
@@ -435,6 +495,20 @@ class TestExitCodes:
         path = tmp_path / "n.json"
         with pytest.raises(SystemExit) as exc:
             main(["gen", *argv, "--out", str(path)])
+        assert exc.value.code == USAGE_ERROR and not path.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--construction", "partition"),
+        ("gen", "--construction", "partition-scaled", "--kappa", "2"),
+        ("verify", "--what", "ufamily", "--max-attempts", "5")],
+        ids=["partition", "kappa", "max-attempts"])
+    def test_no_partition_preset_or_attempt_option(self, tmp_path, capsys, argv):
+        # partition-scaled builds the partition example; the U family always
+        # gets U_FAMILY_ATTEMPTS draws
+        path = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(path)])
         assert exc.value.code == USAGE_ERROR and not path.exists()
         assert capsys.readouterr().out == ""
 

@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ocrlab.constructions import (UFamily, build_multiunit_instance, build_nested_scaled,
-                                  build_pairs_instance, build_partition_instance,
-                                  build_partition_scaled, build_tree_instance,
-                                  build_u_family, sample_tree_order,
+from ocrlab import constructions
+from ocrlab.constructions import (U_FAMILY_ATTEMPTS, UFamily, _sample_tree_raw,
+                                  build_multiunit_instance, build_nested_scaled,
+                                  build_pairs_instance, build_partition_scaled,
+                                  build_tree_instance, build_u_family, sample_tree_order,
                                   tree_arrival_positions, verify_u_family)
 from ocrlab.core import ValueDistribution
 from ocrlab.errors import ExhaustedAttempts, TooLarge
@@ -21,12 +22,13 @@ from ocrlab.feasibility import ELEMENT_CAP, tree_layout
 from ocrlab.policies import decode_nested_index
 
 
-def r_subsets(inst, real):
-    """The realization's r-subsets keyed by node string: row 0 is the
-    root's, row e + 1 is node e's."""
+def r_subsets(inst, seed, trial):
+    """The r-subsets of draw (seed, trial) keyed by node string: row 0 is
+    the root's, row e + 1 is node e's."""
     string_of = inst.feasibility.string_of
+    in_r = _sample_tree_raw(inst.feasibility.k, seed, [trial])[0]
     return {string_of(i - 1) if i else (): frozenset(np.flatnonzero(row).tolist())
-            for i, row in enumerate(real.in_r)}
+            for i, row in enumerate(in_r)}
 
 
 class TestTreeInstance:
@@ -43,7 +45,7 @@ class TestTreeInstance:
         for trial in range(5):
             real = sample_tree_order(inst, seed=trial, trial=trial)
             assert real.order == (0, 1, 2, 3, 4, 5)
-            assert r_subsets(inst, real) == {}
+            assert r_subsets(inst, trial, trial) == {}
             assert real.good.all()
         strings = [inst.feasibility.string_of(e) for e in real.order]
         assert strings == [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -55,7 +57,7 @@ class TestTreeInstance:
         # the root's children always arrive first
         assert sorted(real.order[:4]) == [0, 1, 2, 3]
         # r-subsets: one for the root and one per layer-1 node, each of size 2
-        r = r_subsets(inst, real)
+        r = r_subsets(inst, 3, 11)
         assert set(r) == {(), (1,), (2,), (3,), (4,)}
         assert all(len(s) == 2 for s in r.values())
 
@@ -63,7 +65,7 @@ class TestTreeInstance:
         inst = build_tree_instance(4)
         oracle = inst.feasibility
         real = sample_tree_order(inst, seed=9, trial=2)
-        r = r_subsets(inst, real)
+        r = r_subsets(inst, 9, 2)
         for e in range(inst.n):
             s = oracle.string_of(e)
             # good iff every branching step (the first min(k-2, len) chars)
@@ -121,9 +123,10 @@ class TestTreeInstance:
         inst = build_tree_instance(4)
         a = sample_tree_order(inst, seed=1, trial=4)
         b = sample_tree_order(inst, seed=1, trial=4)
-        assert a.order == b.order and r_subsets(inst, a) == r_subsets(inst, b)
+        assert a.order == b.order and (a.good == b.good).all()
+        assert r_subsets(inst, 1, 4) == r_subsets(inst, 1, 4)
         c = sample_tree_order(inst, seed=1, trial=5)
-        assert c.order != a.order or r_subsets(inst, c) != r_subsets(inst, a)
+        assert c.order != a.order or r_subsets(inst, 1, 5) != r_subsets(inst, 1, 4)
 
 
 class TestUFamily:
@@ -163,6 +166,17 @@ class TestUFamily:
         with pytest.raises(ExhaustedAttempts, match="distinct 8-subsets"):
             build_u_family(n=256, alpha=10, k1=16, k3=16, seed=0)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_gives_up_after_the_fixed_budget(self, monkeypatch):
+        # sizes must be exactly log2(16) = 4 and intersections empty, but four
+        # disjoint 4-sets of 8 elements do not exist: every attempt fails
+        drawn = []
+        real_rng = constructions.trial_rng
+        monkeypatch.setattr(constructions, "trial_rng",
+                            lambda *key: drawn.append(key) or real_rng(*key))
+        with pytest.raises(ExhaustedAttempts, match="^no valid family after 100 attempts "):
+            build_u_family(n=16, alpha=0, k1=2, k3=8, seed=0)
+        assert len(drawn) == U_FAMILY_ATTEMPTS == 100
 
     def test_bernoulli_membership(self):
         # p = (alpha + 1) log2(n) / k3 = 0.25 lies in (0, 1], so each
@@ -215,8 +229,8 @@ class TestMultiunit:
 
 class TestCalibration:
     def test_partition_shapes(self):
-        inst = build_partition_instance(2)
-        assert inst.n == 16
+        inst = build_partition_scaled(blocks=4, block_size=4, p=0.25)
+        assert inst.n == 16 and inst.name == "partition-4x4"
         assert len(inst.feasibility.blocks) == 4
         scaled = build_partition_scaled(blocks=8, block_size=4, p=0.25)
         assert scaled.n == 32

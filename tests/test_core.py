@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from ocrlab.constructions import (build_multiunit_instance, build_nested_scaled,
-                                  build_pairs_instance, build_partition_instance,
-                                  build_partition_scaled, build_tree_instance)
+                                  build_pairs_instance, build_partition_scaled,
+                                  build_tree_instance)
 from ocrlab.core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, Action,
                          FiniteOrderDistribution, Instance, cell_draws,
                          ValueDistribution, allowed_actions, check_order,
@@ -179,8 +179,13 @@ class TestValueDistribution:
     def test_bernoulli_edges_collapse(self):
         assert ValueDistribution.bernoulli(0.0).is_deterministic
         assert ValueDistribution.bernoulli(1.0).support() == (1.0,)
+        assert ValueDistribution.bernoulli(1, hi=3.0).atoms == ((3.0, 1.0),)
         d = ValueDistribution.bernoulli(0.25, hi=2.0)
         assert d.atoms == ((2.0, 0.25), (0.0, 0.75))
+        # past the edges it gave the constant 0 or hi
+        for p in (-1.0, -0.5, 1.5, 2):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got "):
+                ValueDistribution.bernoulli(p)
 
     def test_from_uniform_boundaries(self):
         d = ValueDistribution(((2.0, 0.5), (0.0, 0.5)))
@@ -437,13 +442,11 @@ def _schema_text(instance, orders=None) -> str:
     return json.dumps(instance_to_json_dict(instance, orders), indent=2, sort_keys=True) + "\n"
 
 
-# every ``ocrlab gen`` construction that builds at desk scale; ``nested``
-# needs n = 2^(2x) far beyond it, and shares its layout with nested-scaled
+# every ``ocrlab gen`` construction
 GEN_BUILDS = {
     "tree": lambda: (build_tree_instance(2), None),
     "multiunit": lambda: build_multiunit_instance(3),
     "nested-scaled": lambda: build_nested_scaled(2, 8, 12, u_size=3, q=0.1),
-    "partition": lambda: (build_partition_instance(2), None),
     "partition-scaled": lambda: (build_partition_scaled(4, 4, 0.25), None),
     "pairs": lambda: build_pairs_instance(3),
 }

@@ -198,7 +198,7 @@ class TestNestedPhase:
     @pytest.mark.parametrize("k1", range(7))
     def test_member_masks_equal_the_loop_construction(self, k1):
         rng = np.random.default_rng(k1)
-        for k2, k3 in ((0, 2), (1, 1), (3, 5), (8, 12), (5, 9)):
+        for k2, k3 in ((1, 1), (3, 5), (8, 12), (5, 9)):
             ids = [int(e) for e in rng.permutation(k1 + k2 + k3)]
             a_ids, b_ids, c_ids = ids[:k1], ids[k1:k1 + k2], ids[k1 + k2:]
             low = max(0, (k2 - 1).bit_length())  # 2**|U| >= k2
@@ -221,6 +221,10 @@ class TestNestedPhase:
         with pytest.raises(ValueError):
             NestedPhaseOracle(a_ids=(0,), b_ids=(1,), c_ids=(2,),
                               u_sets=(frozenset({0}), frozenset({2})))  # U not in C
+        with pytest.raises(ValueError, match="B-part needs at least one element"):
+            # no set is feasible; a solve found no action at the first state
+            NestedPhaseOracle(a_ids=(0,), b_ids=(), c_ids=(1, 2),
+                              u_sets=(frozenset({1}), frozenset({2})))
 
 
 class TestGuards:

@@ -11,7 +11,7 @@ import pytest
 
 from ocrlab.constructions import (build_multiunit_instance, build_tree_instance)
 from ocrlab.core import (FiniteOrderDistribution, Instance, ValueDistribution,
-                         dump_instance, load_instance, trial_rng)
+                         dump_instance, load_instance, sample_values, trial_rng)
 from ocrlab.feasibility import KUniformOracle
 from ocrlab.montecarlo import (CHUNK_SIZE, TRACE_CAP, FixedOrder, SampledOrders,
                                TreeOrders, _pick_engine, _random_block_twos,
@@ -173,6 +173,19 @@ class TestFastPaths:
             fast = simulate(policy, edited, source, trials=400, seed=1)
             slow = simulate(policy, edited, source, trials=400, seed=1, fast=False)
             assert fast.mean == slow.mean
+
+    def test_a_replaced_copy_regroups_its_own_values(self):
+        # dataclasses.replace once copied the value-group cache: after one
+        # simulate of the built instance, a copy worth 5.0 everywhere still
+        # drew the built values and took the multi-unit fast path (mean 3.06)
+        inst, orders = build_multiunit_instance(2)
+        policy = MultiunitThresholdPolicy(0.913, "pi1")
+        source = FixedOrder(orders.orders[0])
+        simulate(policy, inst, source, trials=100, seed=1)
+        five = dataclasses.replace(inst, dists=(ValueDistribution.deterministic(5.0),) * inst.n)
+        np.testing.assert_array_equal(sample_values(five, 1, 0), np.full(inst.n, 5.0))
+        assert _pick_engine(five, [policy], source, True)[0] == "generic"
+        assert simulate(policy, five, source, trials=100, seed=1).mean == 10.0
 
     @pytest.mark.parametrize("edit", ["no-metadata", "wrong-k"])
     def test_engines_read_the_oracle_not_the_metadata(self, edit):
