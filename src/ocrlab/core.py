@@ -119,6 +119,11 @@ class Action(enum.Enum):
     DISCARD = "discard"
 
 
+# module aliases: on Python 3.10 and 3.11 reading a member off the class, or
+# hashing one, runs Python code, which costs more than a step's own work
+SELECT, DISCARD = Action.SELECT, Action.DISCARD
+
+
 @dataclass(frozen=True)
 class ValueDistribution:
     """Finite value distribution given as (value, probability) atoms."""
@@ -297,9 +302,6 @@ def allowed_actions(oracle, selected, discarded, element: int) -> frozenset[Acti
     return acts
 
 
-_BOTH = frozenset(Action)
-
-
 def run_policy(policy, instance: Instance, order: Sequence[int],
                values: Mapping[int, float] | np.ndarray, pstate) -> Trace:
     """Run one realization from ``pstate``, the state ``policy.start``
@@ -308,6 +310,8 @@ def run_policy(policy, instance: Instance, order: Sequence[int],
     policy states are threaded along the order, so every step costs alike."""
     oracle = instance.feasibility
     n = instance.n
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # a list item reads faster than an array's
     feas = oracle.start()
     decided: set[int] = set()
     steps: list[tuple[int, float, Action]] = []
@@ -322,14 +326,14 @@ def run_policy(policy, instance: Instance, order: Sequence[int],
         can_sel, can_dis = oracle.allowed(feas, e)
         if can_sel and can_dis:
             action, pstate = policy.decide(pstate, e, v)
-            if action not in _BOTH:
+            if action is not SELECT and action is not DISCARD:
                 raise PolicyViolation(f"policy {policy.name!r} returned disallowed {action}")
         elif can_sel or can_dis:
-            action = Action.SELECT if can_sel else Action.DISCARD
+            action = SELECT if can_sel else DISCARD
             pstate = policy.notify(pstate, e, v, action)
         else:
             raise InconsistentState("state admits no action; it violates its invariant")
-        select = action is Action.SELECT
+        select = action is SELECT
         feas = oracle.commit(feas, e, select)
         if select:
             total += v

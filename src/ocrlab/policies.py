@@ -17,11 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Action, ArrivalOrder, Instance
+from .core import DISCARD, SELECT, Action, ArrivalOrder, Instance
 from .errors import BadThreshold, DecodeFailure, MissingLabels
 from .feasibility import KUniformOracle, NestedPhaseOracle, TreePathOracle
-
-SELECT, DISCARD = Action.SELECT, Action.DISCARD
 
 
 @dataclass

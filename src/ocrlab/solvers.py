@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Action, ArrivalOrder, FiniteOrderDistribution, Instance, check_order
+from .core import (DISCARD, SELECT, Action, ArrivalOrder, FiniteOrderDistribution,
+                   Instance, check_order)
 from .errors import InconsistentState, PolicyViolation, TooLarge
 from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
                           PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
@@ -99,6 +100,10 @@ def _order_trie(orders: FiniteOrderDistribution, n: int,
         first = len(trie) + len(level)  # the id of the next level's first node
         nxt: list[tuple[int, ...]] = []
         for live in level:
+            if len(live) == 1:  # a lone order's share w / w is exactly 1.0
+                trie.append(((orders.orders[live[0]][pos], 1.0, first + len(nxt)),))
+                nxt.append(live)
+                continue
             w_live = sum(weights[i] for i in live)
             groups: dict[int, list[int]] = {}
             for i in live:
@@ -398,23 +403,25 @@ def eval_policy_exact(policy, instance: Instance, knowledge: Knowledge,
         states += len(mass)
         if states > limits.max_states:
             raise TooLarge(f"state budget {limits.max_states} exceeded")
+        atoms = instance.dists[e].atoms
         nxt: dict = {}
         for (feas, pstate), q in mass.items():
             can_sel, can_dis = oracle.allowed(feas, e)
             if not (can_sel or can_dis):
                 raise InconsistentState("state admits no action; it violates its invariant")
-            for v, p in instance.dists[e].atoms:
+            for v, p in atoms:
                 if can_sel and can_dis:
                     action, after = policy.decide(pstate, e, v)
-                    if action not in (Action.SELECT, Action.DISCARD):
+                    if action is not SELECT and action is not DISCARD:
                         raise PolicyViolation(
                             f"policy {policy.name!r} returned disallowed {action}")
                 else:
-                    action = Action.SELECT if can_sel else Action.DISCARD
+                    action = SELECT if can_sel else DISCARD
                     after = policy.notify(pstate, e, v, action)
-                if action is Action.SELECT:
+                select = action is SELECT
+                if select:
                     total += q * p * v
-                key = (oracle.commit(feas, e, action is Action.SELECT), after)
+                key = (oracle.commit(feas, e, select), after)
                 nxt[key] = nxt.get(key, 0.0) + q * p
         mass = nxt
     return total

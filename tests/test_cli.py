@@ -12,7 +12,7 @@ import pytest
 
 from ocrlab import cli
 from ocrlab.cli import CHECK_FAILURE, RESOURCE_ERROR, USAGE_ERROR, main
-from ocrlab.constructions import build_multiunit_instance
+from ocrlab.constructions import UFamilyReport, build_multiunit_instance
 from ocrlab.core import Instance, ValueDistribution, instance_to_json_dict
 from ocrlab.feasibility import ExplicitFamilyOracle
 
@@ -271,6 +271,20 @@ class TestConstantsAndVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["size_ok"] and doc["membership_ok"] and doc["intersection_ok"]
+
+    def test_verify_ufamily_check_fails_on_a_failing_report(self, monkeypatch, capsys):
+        # build_u_family returns only families that pass, so the report is patched
+        bad = UFamilyReport(True, True, False, {"intersection": (0, 1, 11)})
+        monkeypatch.setattr(cli, "verify_u_family", lambda family, k3: bad)
+        args = ("verify", "--what", "ufamily", "--n", str(2 ** 16), "--alpha", "10",
+                "--k1", "4", "--k3", "64", "--seed", "1")
+        code, out, err = run(capsys, *args, "--check")
+        assert code == CHECK_FAILURE and err == ""
+        doc = json.loads(out)
+        assert doc["size_ok"] and not doc["intersection_ok"]
+        assert doc["witnesses"] == {"intersection": [0, 1, 11]}
+        # without --check the same report is printed and the run succeeds
+        assert run(capsys, *args) == (0, out, "")
 
 
 class TestExitCodes:

@@ -25,7 +25,7 @@ from ocrlab.core import (STREAM_ORDER, STREAM_POLICY, STREAM_VALUES, Action,
                          run_policy, sample_values, trial_rng)
 from ocrlab.errors import InconsistentState, PolicyViolation, UnknownElement
 from ocrlab.feasibility import KUniformOracle, PairMatchOracle
-from ocrlab.policies import GreedyPolicy, Policy
+from ocrlab.policies import GreedyPolicy, Knowledge, Policy
 
 
 class TestTrialRng:
@@ -287,21 +287,39 @@ class TestForcedSemantics:
         assert [e for e, _, a in trace.steps if a is Action.SELECT] == [1, 3]
 
     def test_policy_violation(self):
-        class Bad(Policy):
-            name = "bad"
+        # an action must be an Action member: not its value, nor None
+        for action in ("neither", "select", None):
+            class Bad(Policy):
+                name = "bad"
 
-            def decide(self, pstate, e, v):
-                return "neither", pstate
+                def decide(self, pstate, e, v):
+                    return action, pstate
 
-        with pytest.raises(PolicyViolation):
-            run_policy(Bad(), _pairs_instance(), (0, 1, 2, 3), np.arange(4.0), None)
+            with pytest.raises(PolicyViolation, match="returned disallowed"):
+                run_policy(Bad(), _pairs_instance(), (0, 1, 2, 3), np.arange(4.0), None)
+
+    def test_values_as_array_list_or_mapping_give_one_trace(self):
+        inst, orders = build_multiunit_instance(3)
+        values = sample_values(inst, 5, 0)
+        policy = GreedyPolicy()
+        pstate = policy.start(inst, Knowledge())
+        order = orders.orders[1]
+        trace = run_policy(policy, inst, order, values, pstate)
+        assert trace == run_policy(policy, inst, order, values.tolist(), pstate)
+        # the mapping holds np.float64, a float subclass; its steps hold floats
+        mapped = run_policy(policy, inst, order, dict(enumerate(values)), pstate)
+        assert trace == mapped
+        assert all(type(v) is float for _, v, _ in trace.steps + mapped.steps)
+        # NumPy integer ids index the value list and walk the same steps
+        assert trace == run_policy(policy, inst, np.array(order), values, pstate)
 
     def test_run_policy_rejects_bad_steps(self):
         inst = _pairs_instance()
         with pytest.raises(InconsistentState):
             run_policy(GreedyPolicy(), inst, (0, 1, 1, 3), np.arange(4.0), None)
-        with pytest.raises(UnknownElement):
-            run_policy(GreedyPolicy(), inst, (0, 1, 2, -1), np.arange(4.0), None)
+        for bad in (-1, 4):
+            with pytest.raises(UnknownElement, match=rf"element {bad} outside \[0, 4\)"):
+                run_policy(GreedyPolicy(), inst, (0, 1, 2, bad), np.arange(4.0), None)
 
         class Stuck:
             """An oracle whose every state admits no action."""

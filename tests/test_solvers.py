@@ -22,7 +22,9 @@ from ocrlab.feasibility import (ExplicitFamilyOracle, KUniformOracle, TreePathOr
 from ocrlab.montecarlo import TreeOrders
 from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                              MultiunitThresholdPolicy, NestedAwarePolicy,
-                             NestedGuessPolicy, TreeAwarePolicy, TreeGamblePolicy)
+                             NestedGuessPolicy, TreeAwarePolicy, TreeGamblePolicy,
+                             parse_policy_spec)
+from ocrlab import solvers
 from ocrlab.solvers import (MAX_REALIZATIONS, SolverLimits, SolveResult, _expectimax,
                             _iter_realizations, _order_trie, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
@@ -215,8 +217,58 @@ class TestStateMemo:
             assert res.states_expanded <= 21 * 6
 
 
+def _grouped_trie(orders, n, max_states):
+    """``_order_trie`` with every live set grouped, a lone order's too, and
+    no budget: the reference for the trie's one-order shortcut."""
+    weights = orders.weights
+    trie = []
+    level = [tuple(range(len(orders.orders)))]
+    for pos in range(n):
+        first = len(trie) + len(level)
+        nxt = []
+        for live in level:
+            w_live = sum(weights[i] for i in live)
+            groups = {}
+            for i in live:
+                groups.setdefault(orders.orders[i][pos], []).append(i)
+            trie.append(tuple((e, sum(weights[i] for i in idxs) / w_live,
+                               first + len(nxt) + c)
+                              for c, (e, idxs) in enumerate(groups.items())))
+            nxt += map(tuple, groups.values())
+        level = nxt
+    return trie + [()] * len(level)
+
+
 class TestOrderTrie:
     """The expectimax keyed on (order-trie node, feasibility state)."""
+
+    def test_lone_orders_build_the_grouped_trie(self, monkeypatch):
+        # a live set of one order skips the grouping; its share is w / w = 1.0
+        rng = np.random.default_rng(53)
+        cases = []
+        for _ in range(20):
+            instance, orders = random_micro_instance(rng, max_n=6, max_orders=4)
+            weights = rng.uniform(0.1, 3.0, len(orders.orders))
+            cases.append((instance, FiniteOrderDistribution(
+                orders.orders, tuple((weights / weights.sum()).tolist()))))
+        # a repeated order is one live set of two orders all the way down
+        order = cases[0][1].orders[0]
+        cases.append((cases[0][0], FiniteOrderDistribution(
+            (order, order, order[::-1]), (0.25, 0.5, 0.25))))
+        tree, tree_orders = _criterion3_orders(20)
+        cases += [(tree, FiniteOrderDistribution.uniform(tree_orders)),
+                  (tree, FiniteOrderDistribution.uniform(tree_orders[:1]))]
+        nested, nested_orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
+        cases.append((nested, nested_orders))
+        solved = [opt_unaware_exact(inst, orders) for inst, orders in cases]
+        for inst, orders in cases:
+            assert _order_trie(orders, inst.n, WIDE.max_states) == \
+                _grouped_trie(orders, inst.n, WIDE.max_states)
+        monkeypatch.setattr(solvers, "_order_trie", _grouped_trie)
+        for (inst, orders), res in zip(cases, solved):
+            ref = opt_unaware_exact(inst, orders)
+            assert (repr(res.value), res.states_expanded) == \
+                (repr(ref.value), ref.states_expanded)
 
     def test_multiunit_k100_solves(self):
         # (2k - OPT)/sqrt(k) is the independent backward induction's value
@@ -413,13 +465,14 @@ class TestPolicyEvaluation:
             eval_policy_exact(GreedyPolicy(), instance, Knowledge())
 
     def test_forward_pass_errors_match_run_policy(self):
-        class Bad(GreedyPolicy):
-            def decide(self, pstate, e, v):
-                return "neither", pstate
-
         inst = build_pairs_instance(2)[0]
-        with pytest.raises(PolicyViolation):
-            eval_policy_exact(Bad(), inst, Knowledge(tuple(range(inst.n))))
+        for action in ("neither", "select", None):
+            class Bad(GreedyPolicy):
+                def decide(self, pstate, e, v):
+                    return action, pstate
+
+            with pytest.raises(PolicyViolation, match="returned disallowed"):
+                eval_policy_exact(Bad(), inst, Knowledge(tuple(range(inst.n))))
 
         class Stuck(KUniformOracle):
             def allowed(self, count, e):
@@ -428,6 +481,24 @@ class TestPolicyEvaluation:
         stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck(n=inst.n, k=1))
         with pytest.raises(InconsistentState):
             eval_policy_exact(GreedyPolicy(), stuck, Knowledge(tuple(range(inst.n))))
+
+    def test_values_are_pinned_by_repr(self):
+        # criterion 3's k = 4 tree at seed 2026, and criterion 4's nested orders
+        tree = build_tree_instance(4)
+        pinned = {(0, "greedy"): "2.35259324199866",
+                  (0, "tree_gamble:l=1"): "1.9974866512670038",
+                  (1, "greedy"): "2.5327160698366806",
+                  (1, "tree_gamble:l=1"): "1.9328717031278906",
+                  (2, "greedy"): "2.5711659216206337",
+                  (2, "tree_gamble:l=1"): "2.080121473564706"}
+        for (fixed, spec), value in pinned.items():
+            kn = TreeOrders(fixed=fixed).realize(tree, 2026, 0)
+            assert repr(eval_policy_exact(parse_policy_spec(spec), tree, kn)) == value
+        nested, orders = build_nested_scaled(2, 8, 12, u_size=3, q=0.1)
+        assert len(orders.orders) == 4
+        for order in orders.orders:
+            assert repr(eval_policy_exact(NestedAwarePolicy(), nested, Knowledge(order))) == \
+                "0.5695327900000001"
 
     def test_greedy_on_capacity_one(self):
         dists = (ValueDistribution.bernoulli(0.5, hi=2.0),
