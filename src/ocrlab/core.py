@@ -57,7 +57,10 @@ def _cell_key(seed: int, trial: int, stream: int) -> tuple[int, int]:
     """The Philox key of one (seed, trial, stream) cell."""
     try:
         # ``operator.index`` takes ints and NumPy integers, but no float,
-        # which ``int`` would truncate onto another cell
+        # which ``int`` would truncate onto another cell, and no bool, which
+        # it takes as 0 or 1
+        if type(seed) is bool or type(trial) is bool or type(stream) is bool:
+            raise TypeError
         seed, trial, stream = (operator.index(seed), operator.index(trial),
                                operator.index(stream))
     except TypeError:
@@ -323,20 +326,21 @@ def run_policy(policy, instance: Instance, order: Sequence[int],
         if e in decided:
             raise InconsistentState(f"element {e} already decided")
         decided.add(e)
-        can_sel, can_dis = oracle.allowed(feas, e)
-        if can_sel and can_dis:
+        after_sel, after_dis = oracle.step(feas, e)
+        if after_sel is not None and after_dis is not None:
             action, pstate = policy.decide(pstate, e, v)
             if action is not SELECT and action is not DISCARD:
                 raise PolicyViolation(f"policy {policy.name!r} returned disallowed {action}")
-        elif can_sel or can_dis:
-            action = SELECT if can_sel else DISCARD
+        elif after_sel is not None or after_dis is not None:
+            action = SELECT if after_dis is None else DISCARD
             pstate = policy.notify(pstate, e, v, action)
         else:
             raise InconsistentState("state admits no action; it violates its invariant")
-        select = action is SELECT
-        feas = oracle.commit(feas, e, select)
-        if select:
+        if action is SELECT:
+            feas = after_sel
             total += v
+        else:
+            feas = after_dis
         steps.append((e, v, action))
     return Trace(steps=steps, total=total)
 

@@ -1,24 +1,27 @@
 """Feasibility oracles and the per-element state behind allowed actions.
 
 Every oracle summarizes the decisions of an online run in a small immutable,
-hashable state: ``start()`` is the state before any decision,
-``allowed(state, e)`` is ``(can_select, can_discard)`` for an undecided
-element ``e`` in range (whether some feasible set contains everything
-selected plus ``e``, and whether one avoids everything discarded plus
-``e``), and ``commit(state, e, select)`` is the state after deciding ``e``.
-Equal states admit the same future decisions, so a state is its own memo
-key. Per kind it is the selected count (k-uniform), the deepest selected node
-(tree path), the chosen block (partition), or, for the kinds with a finite
-list of members (explicit family, pair match, nested phase), the bitmask of
-the members still consistent with the decisions; with one bitmask per
-element of the members containing it, both queries and the commit are one
-AND each.
+hashable state: ``start()`` is the state before any decision, and
+``step(state, e)`` is ``(after_select, after_discard)`` for an undecided
+element ``e`` in range: the state after selecting ``e`` and the state after
+discarding it, with ``None`` where the action is forbidden (where no
+feasible set contains everything selected plus ``e``, or none avoids
+everything discarded plus ``e``). ``successors(states, e)`` is the same pair
+for a list of states, as two aligned lists, with the per-element work done
+once. Equal states admit the same future decisions, so a state is its own
+memo key, and no state is ``None``. Per kind it is the selected count
+(k-uniform), the deepest selected node (tree path), the chosen block
+(partition), -1 for the last two while nothing is selected, or, for the
+kinds with a finite list of members (explicit family, pair match, nested
+phase), the nonzero bitmask of the members still consistent with the
+decisions; with one bitmask per element of the members containing it, each
+successor is one AND.
 
 ``can_extend(selected, discarded, pin)`` asks whether some feasible set
 contains everything selected, avoids everything discarded and respects an
 optional pin forcing one more element in or out. Every oracle answers it by
-one replay: commit the decisions in id order and fail at the first one its
-state does not allow. Oracles are immutable and all queries are pure.
+one replay: step through the decisions in id order and fail at the first one
+its state forbids. Oracles are immutable and all queries are pure.
 """
 
 from __future__ import annotations
@@ -53,10 +56,9 @@ def _replay_can_extend(oracle, selected, discarded,
         return False
     state = oracle.start()
     for e in sorted(sel | dis):
-        select = e in sel
-        if not oracle.allowed(state, e)[0 if select else 1]:
+        state = oracle.step(state, e)[0 if e in sel else 1]
+        if state is None:
             return False
-        state = oracle.commit(state, e, select)
     return True
 
 
@@ -68,12 +70,15 @@ class _FamilyState:
     def start(self) -> int:
         return self._all
 
-    def allowed(self, alive: int, e: int) -> tuple[bool, bool]:
+    def step(self, alive: int, e: int) -> tuple[int | None, int | None]:
         inc = self._inc[e]
-        return alive & inc != 0, alive & ~inc != 0
+        return alive & inc or None, alive & ~inc or None
 
-    def commit(self, alive: int, e: int, select: bool) -> int:
-        return alive & self._inc[e] if select else alive & ~self._inc[e]
+    def successors(self, states: list[int], e: int
+                   ) -> tuple[list[int | None], list[int | None]]:
+        inc = self._inc[e]
+        out = ~inc
+        return [s & inc or None for s in states], [s & out or None for s in states]
 
 
 @dataclass(frozen=True)
@@ -120,11 +125,12 @@ class KUniformOracle:
     def start(self) -> int:
         return 0
 
-    def allowed(self, count: int, e: int) -> tuple[bool, bool]:
-        return count < self.k, True
+    def step(self, count: int, e: int) -> tuple[int | None, int]:
+        return count + 1 if count < self.k else None, count
 
-    def commit(self, count: int, e: int, select: bool) -> int:
-        return count + 1 if select else count
+    def successors(self, states: list[int], e: int) -> tuple[list[int | None], list[int]]:
+        k = self.k
+        return [c + 1 if c < k else None for c in states], list(states)
 
     can_extend = _replay_can_extend
 
@@ -225,23 +231,22 @@ class TreePathOracle:
     def comparable(self, e1: int, e2: int) -> bool:
         _check(e1, self.n)
         _check(e2, self.n)
-        return self.allowed(e1, e2)[0]
+        return self.step(e1, e2)[0] is not None
 
-    def start(self) -> int | None:
-        return None
+    def start(self) -> int:
+        return -1  # nothing selected
 
-    def allowed(self, deepest: int | None, e: int) -> tuple[bool, bool]:
-        if deepest is None:
-            return True, True
-        # comparable exactly when the leaf intervals meet
+    def step(self, deepest: int, e: int) -> tuple[int | None, int]:
+        if deepest < 0:
+            return e, deepest
+        # comparable exactly when the leaf intervals meet; comparable nodes
+        # lie in different layers, and ids are layer-major
         (lo1, hi1), (lo2, hi2) = self._layout.span[deepest], self._layout.span[e]
-        return lo1 < hi2 and lo2 < hi1, True
+        return max(deepest, e) if lo1 < hi2 and lo2 < hi1 else None, deepest
 
-    def commit(self, deepest: int | None, e: int, select: bool) -> int | None:
-        if not select:
-            return deepest
-        # comparable nodes lie in different layers, and ids are layer-major
-        return e if deepest is None else max(deepest, e)
+    def successors(self, states: list[int], e: int) -> tuple[list[int | None], list[int]]:
+        steps = [self.step(s, e) for s in states]
+        return [a for a, _ in steps], [b for _, b in steps]
 
     can_extend = _replay_can_extend
 
@@ -271,14 +276,16 @@ class PartitionOneBlockOracle:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_block_of", block_of)
 
-    def start(self) -> int | None:
-        return None
+    def start(self) -> int:
+        return -1  # no block chosen
 
-    def allowed(self, block: int | None, e: int) -> tuple[bool, bool]:
-        return block is None or self._block_of[e] == block, True
+    def step(self, block: int, e: int) -> tuple[int | None, int]:
+        b = self._block_of[e]
+        return b if block < 0 or b == block else None, block
 
-    def commit(self, block: int | None, e: int, select: bool) -> int | None:
-        return self._block_of[e] if select else block
+    def successors(self, states: list[int], e: int) -> tuple[list[int | None], list[int]]:
+        b = self._block_of[e]
+        return [b if s < 0 or s == b else None for s in states], list(states)
 
     can_extend = _replay_can_extend
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -121,22 +122,22 @@ def _order_trie(orders: FiniteOrderDistribution, n: int,
 def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
                 limits: SolverLimits) -> SolveResult:
     """Backward induction over (order-trie node, feasibility state). A
-    node's children have larger ids, so a forward pass in id order numbers
+    node's children have larger ids, so a forward pass in id order lists
     the states that reach each node and records, per child, each state's
     successor index under select and under discard (-1 where the state
-    forbids the action). A backward pass then values each node's states as
-    one vector: each next element, weighted by its share of the live orders,
-    is decided best once its value is seen. Every node has one parent, so a
-    node's states are dropped once expanded and its values once its parent
-    is valued."""
+    forbids the action), from one ``successors`` call per child. A backward
+    pass then values each node's states as one vector: each next element,
+    weighted by its share of the live orders, is decided best once its
+    value is seen. Every node has one parent, so a node's states are dropped
+    once expanded and its values once its parent is valued."""
     if limits.max_elements is not None and instance.n > limits.max_elements:
         raise TooLarge(f"{instance.n} elements over the limit {limits.max_elements}")
     oracle = instance.feasibility
-    allowed, commit = oracle.allowed, oracle.commit
+    successors = oracle.successors
     atoms = [d.atoms for d in instance.dists]
     trie = _order_trie(orders, instance.n, limits.max_states)
-    reach: list = [{} for _ in trie]
-    reach[0][oracle.start()] = 0
+    reach: list = [None] * len(trie)
+    reach[0] = [oracle.start()]
     size = [0] * len(trie)
     succ: list = [()] * len(trie)
     states = 0
@@ -150,15 +151,15 @@ def _expectimax(instance: Instance, orders: FiniteOrderDistribution,
             raise TooLarge(f"state budget {limits.max_states} exceeded")
         moves = []
         for e, _, child in children:
-            nxt, sel, dis = reach[child], [], []
-            for state in here:
-                can_sel, can_dis = allowed(state, e)
-                if not (can_sel or can_dis):
-                    raise InconsistentState("state admits no action")
-                sel.append(nxt.setdefault(commit(state, e, True), len(nxt))
-                           if can_sel else -1)
-                dis.append(nxt.setdefault(commit(state, e, False), len(nxt))
-                           if can_dis else -1)
+            after_sel, after_dis = successors(here, e)
+            nxt: dict = {}
+            number = nxt.setdefault  # a state's index in the child, new ones last
+            sel = [-1 if s is None else number(s, len(nxt)) for s in after_sel]
+            dis = [-1 if s is None else number(s, len(nxt)) for s in after_dis]
+            # an index is -1 or nonnegative, so a & b is -1 just when both are
+            if -1 in dis and -1 in map(operator.and_, sel, dis):
+                raise InconsistentState("state admits no action")
+            reach[child] = list(nxt)
             moves.append((np.array(sel, np.intp), np.array(dis, np.intp)))
         succ[node] = moves
     values: list = [None] * len(trie)
@@ -406,22 +407,24 @@ def eval_policy_exact(policy, instance: Instance, knowledge: Knowledge,
         atoms = instance.dists[e].atoms
         nxt: dict = {}
         for (feas, pstate), q in mass.items():
-            can_sel, can_dis = oracle.allowed(feas, e)
-            if not (can_sel or can_dis):
+            after_sel, after_dis = oracle.step(feas, e)
+            if after_sel is None and after_dis is None:
                 raise InconsistentState("state admits no action; it violates its invariant")
+            both = after_sel is not None and after_dis is not None
             for v, p in atoms:
-                if can_sel and can_dis:
+                if both:
                     action, after = policy.decide(pstate, e, v)
                     if action is not SELECT and action is not DISCARD:
                         raise PolicyViolation(
                             f"policy {policy.name!r} returned disallowed {action}")
                 else:
-                    action = SELECT if can_sel else DISCARD
+                    action = SELECT if after_dis is None else DISCARD
                     after = policy.notify(pstate, e, v, action)
-                select = action is SELECT
-                if select:
+                if action is SELECT:
                     total += q * p * v
-                key = (oracle.commit(feas, e, select), after)
+                    key = (after_sel, after)
+                else:
+                    key = (after_dis, after)
                 nxt[key] = nxt.get(key, 0.0) + q * p
         mass = nxt
     return total

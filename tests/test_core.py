@@ -134,7 +134,9 @@ class TestCellDraws:
     @pytest.mark.parametrize("seed, trial, stream", [
         (-1, 0, 0), (2 ** 64, 0, 0), (0, -1, 0), (0, 2 ** 62, 0), (0, 0, -1), (0, 0, 4),
         # float keys: int() once mapped (3.9, 2.5, 1.2) silently onto cell (3, 2, 1)
-        (3.9, 2.5, 1.2), (3, 2.5, 1), (3, 2, 1.2), (np.float64(3.0), 2, 1), ("3", 2, 1)])
+        (3.9, 2.5, 1.2), (3, 2.5, 1), (3, 2, 1.2), (np.float64(3.0), 2, 1), ("3", 2, 1),
+        # bool keys: (0, False, True) once drew cell (0, 0, 1)
+        (True, 0, 0), (0, False, 1), (0, 0, True)])
     def test_rejects_the_keys_trial_rng_rejects(self, seed, trial, stream):
         with pytest.raises(ValueError) as cell:
             trial_rng(seed, trial, stream)
@@ -327,10 +329,10 @@ class TestForcedSemantics:
             n = 4
 
             def start(self):
-                return None
+                return 0
 
-            def allowed(self, state, e):
-                return False, False
+            def step(self, state, e):
+                return None, None
 
             def can_extend(self, selected, discarded, pin=None):
                 return False

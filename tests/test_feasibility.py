@@ -74,23 +74,73 @@ def test_can_extend_matches_brute_force(oracle):
     assert_matches_brute_force(oracle)
 
 
-@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.kind)
-def test_state_walk_matches_brute_force(oracle):
-    # an online run: random orders, a random legal action at every step
+def _walk_states(oracle):
+    """Online runs on random orders with a random legal action at every
+    step, checked against the brute-force search; yields each step's state,
+    its element, and the pair ``step`` gave."""
     n = oracle.n
     family = materialize(oracle)
     rng = np.random.default_rng(5)
     for _ in range(100):
         state, sel, dis = oracle.start(), frozenset(), frozenset()
         for e in rng.permutation(n).tolist():
-            allowed = oracle.allowed(state, e)
-            assert allowed == (brute_can_extend(family, n, sel, dis, (e, True)),
-                               brute_can_extend(family, n, sel, dis, (e, False)))
-            select = bool(rng.integers(2)) if all(allowed) else allowed[0]
-            state = oracle.commit(state, e, select)
+            after = oracle.step(state, e)
+            assert (after[0] is not None, after[1] is not None) == (
+                brute_can_extend(family, n, sel, dis, (e, True)),
+                brute_can_extend(family, n, sel, dis, (e, False)))
+            yield state, e, after
+            select = bool(rng.integers(2)) if None not in after else after[1] is None
+            state = after[0 if select else 1]
             hash(state)  # a state is a memo key
             sel, dis = (sel | {e}, dis) if select else (sel, dis | {e})
         assert sel in family
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.kind)
+def test_state_walk_matches_brute_force(oracle):
+    for _ in _walk_states(oracle):
+        pass
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.kind)
+def test_successors_agree_with_step(oracle):
+    # per element, every state the walks reach, batched in one call
+    reached: dict[int, dict] = {e: {} for e in range(oracle.n)}
+    for state, e, after in _walk_states(oracle):
+        reached[e][state] = after
+    forbidden = set()
+    for e, steps in reached.items():
+        states = list(steps)
+        after_sel, after_dis = oracle.successors(states, e)
+        assert list(zip(after_sel, after_dis)) == list(steps.values())
+        forbidden |= {side for after in steps.values()
+                      for side in (0, 1) if after[side] is None}
+    # the walks reach a forbidden select on every kind, and a forbidden
+    # discard on the kinds that are not downward-closed
+    assert forbidden == ({0} if oracle.downward_closed else {0, 1})
+    assert oracle.successors([], 0) == ([], [])
+
+
+def test_forbidden_steps():
+    full = KUniformOracle(n=5, k=2)
+    assert full.step(2, 0) == (None, 2)
+    assert full.successors([0, 1, 2], 3) == ([1, 2, None], [0, 1, 2])
+    tree = TreePathOracle(k=2)
+    assert tree.step(tree.start(), 4) == (4, -1)
+    assert tree.step(0, 3) == (3, 0)     # 1 then 12
+    assert tree.step(0, 4) == (None, 0)  # 21 is not comparable with 1
+    assert tree.successors([-1, 0, 1], 4) == ([4, None, 4], [-1, 0, 1])
+    part = PartitionOneBlockOracle(blocks=((0, 1, 2), (3, 4, 5)))
+    assert part.successors([-1, 0, 1], 4) == ([1, None, 1], [-1, 0, 1])
+    # members {0, 2} and {1, 3}: after selecting 0, only 2 completes the
+    # pair, which must then be selected; after discarding 0 and 1, nothing
+    pair = PairMatchOracle(k=2)
+    after_0 = pair.step(pair.start(), 0)[0]
+    assert pair.step(after_0, 2) == (after_0, None)   # only select
+    assert pair.step(after_0, 1) == (None, after_0)   # only discard
+    assert pair.successors([pair.start(), after_0], 1) == ([0b10, None], [0b01, after_0])
+    dead = pair.step(pair.step(pair.start(), 0)[1], 1)[1]
+    assert dead is None  # no member left is no state
 
 
 class TestTreeLayout:

@@ -98,12 +98,19 @@ class TestOrderSources:
         assert kn.order == again.order and (kn.good == again.good).all()
 
     @pytest.mark.parametrize("kwargs", [
-        {"fixed": 1.5}, {"fixed": 2 ** 62}, {"fixed": -1}])
+        {"fixed": 1.5}, {"fixed": 2 ** 62}, {"fixed": -1}, {"fixed": True}])
     def test_tree_orders_reject_bad_settings(self, kwargs):
         # a negative index gave negative order trials; a float or oversized
-        # one failed only at the first realization
+        # one failed only at the first realization; True realized order 1
         with pytest.raises(ValueError):
             TreeOrders(**kwargs)
+
+    def test_a_bool_seed_is_refused(self):
+        # seed=True ran seed 1's cells and reported "seed": true
+        inst = build_tree_instance(2)
+        for run in (simulate, collect_traces):
+            with pytest.raises(ValueError, match="must be integers"):
+                run(GreedyPolicy(), inst, TreeOrders(), trials=10, seed=True)
 
     def test_tree_orders_need_the_tree_oracle(self):
         # a multi-unit instance once drew a 6-element tree order from its

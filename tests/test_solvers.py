@@ -39,7 +39,7 @@ def _dict_expectimax(instance, orders, limits=WIDE):
     scalar backward pass that asks the oracle again: the reference for the
     vector backward pass, which must give the same bits."""
     oracle = instance.feasibility
-    allowed, commit = oracle.allowed, oracle.commit
+    step = oracle.step
     atoms = [d.atoms for d in instance.dists]
     trie = _order_trie(orders, instance.n, limits.max_states)
     start = oracle.start()
@@ -52,19 +52,17 @@ def _dict_expectimax(instance, orders, limits=WIDE):
         states += len(reach[node])
         for state in reach[node]:
             for e, _, child in children:
-                can_sel, can_dis = allowed(state, e)
-                if can_sel:
-                    reach[child][commit(state, e, True)] = None
-                if can_dis:
-                    reach[child][commit(state, e, False)] = None
+                for after in step(state, e):
+                    if after is not None:
+                        reach[child][after] = None
     for node in reversed(range(len(trie))):
         values = reach[node]
         for state in values:
             total = 0.0
             for e, share, child in trie[node]:
-                can_sel, can_dis = allowed(state, e)
-                sel = reach[child][commit(state, e, True)] if can_sel else -math.inf
-                keep = reach[child][commit(state, e, False)] if can_dis else -math.inf
+                after_sel, after_dis = step(state, e)
+                sel = -math.inf if after_sel is None else reach[child][after_sel]
+                keep = -math.inf if after_dis is None else reach[child][after_dis]
                 stage = 0.0
                 for v, p in atoms[e]:
                     best = v + sel
@@ -344,14 +342,40 @@ class TestVectorBackwardPass:
         self._same(instance, FiniteOrderDistribution((orders.orders[0],), (1.0,)))
 
     def test_pinned_benchmark_solves(self):
-        # the instances the exact-solve benchmark round runs
+        # the exact-solve benchmark round's five solves and the k = 100
+        # belief: a state numbered wrongly in a child changes a value's bits
+        # or the state count
+        mu, mu_orders = build_multiunit_instance(5)
         nested, orders = build_nested_scaled(3, 16, 32, u_size=4, q=0.1)
-        assert repr(opt_unaware_exact(nested, orders, limits=WIDE).value) == \
-            "0.18933724763935203"
-        assert repr(opt_aware_exact(nested, orders.orders[0], limits=WIDE).value) == \
-            "0.814697981114816"
-        mu, orders = build_multiunit_instance(5)
-        assert repr(opt_unaware_exact(mu, orders, limits=WIDE).value) == "9.400390625"
+        mu100, mu100_orders = build_multiunit_instance(100)
+        pinned = [
+            (opt_aware_exact(mu, mu_orders.orders[0], limits=WIDE), "9.3671875", 105),
+            (opt_aware_exact(mu, mu_orders.orders[1], limits=WIDE), "9.51171875", 105),
+            (opt_unaware_exact(mu, mu_orders, limits=WIDE), "9.400390625", 189),
+            (opt_unaware_exact(nested, orders, limits=WIDE), "0.18933724763935203", 28_641),
+            (opt_aware_exact(nested, orders.orders[0], limits=WIDE),
+             "0.814697981114816", 4_008),
+            (opt_unaware_exact(mu100, mu100_orders, limits=WIDE),
+             "197.35356466360798", 65_549),
+        ]
+        for res, value, states in pinned:
+            assert (repr(res.value), res.states_expanded) == (value, states)
+
+    def test_a_state_that_admits_no_action_is_refused(self):
+        # a count of 1 admits neither action; the other counts step as usual
+        class StuckAtOne(KUniformOracle):
+            def successors(self, states, e):
+                sel, dis = super().successors(states, e)
+                return ([None if c == 1 else a for c, a in zip(states, sel)],
+                        [None if c == 1 else b for c, b in zip(states, dis)])
+
+        dists = (ValueDistribution.bernoulli(0.5),) * 3
+        instance = Instance(name="stuck", dists=dists, feasibility=StuckAtOne(n=3, k=2))
+        with pytest.raises(InconsistentState):
+            opt_aware_exact(instance, (0, 1, 2))
+        fine = Instance(name="fine", dists=dists, feasibility=KUniformOracle(n=3, k=2))
+        # E[min(ones, 2)] over three fair coins: 3/8 + 2 * 4/8
+        assert opt_aware_exact(fine, (0, 1, 2)).value == 1.375
 
     def test_forced_actions_and_a_zero_probability_atom(self):
         # not downward closed: every set holds element 1, so it must be
@@ -475,8 +499,8 @@ class TestPolicyEvaluation:
                 eval_policy_exact(Bad(), inst, Knowledge(tuple(range(inst.n))))
 
         class Stuck(KUniformOracle):
-            def allowed(self, count, e):
-                return False, False
+            def step(self, count, e):
+                return None, None
 
         stuck = Instance(name="stuck", dists=inst.dists, feasibility=Stuck(n=inst.n, k=1))
         with pytest.raises(InconsistentState):
