@@ -33,56 +33,48 @@ from .solvers import SolverLimits, opt_aware_exact, opt_unaware_exact, prophet_e
 USAGE_ERROR, RESOURCE_ERROR, CHECK_FAILURE = 2, 3, 4
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+def _write(args, command: str, config: dict, payload: dict, header=None, rows=()) -> None:
+    """The one report writer: with ``--format csv``, ``header`` and ``rows``;
+    otherwise the versioned JSON document. To ``--out``, else stdout. The
+    commands without ``--format`` pass no header."""
+    if header and args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        doc = {"version": __version__, "command": command, "config": config, **payload}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _wrap(command: str, config: dict, payload: dict) -> dict:
-    return {"version": __version__, "command": command, "config": config, **payload}
-
-
 # --- gen ----------------------------------------------------------------------------
 
 
+# construction name -> (instance, orders or None) built from gen's flags
+CONSTRUCTIONS = {
+    "tree": lambda a: (build_tree_instance(a.k), None),
+    "multiunit": lambda a: build_multiunit_instance(a.k),
+    "nested-scaled": lambda a: build_nested_scaled(a.k1, a.k2, a.k3, u_size=a.usize, q=a.q),
+    "partition-scaled": lambda a: (build_partition_scaled(a.blocks, a.block_size, a.p), None),
+    "pairs": lambda a: build_pairs_instance(a.k),
+}
+
+
 def cmd_gen(args) -> int:
-    name = args.construction
-    orders = None
-    if name == "tree":
-        instance = build_tree_instance(args.k)
-    elif name == "multiunit":
-        instance, orders = build_multiunit_instance(args.k)
-    elif name == "nested-scaled":
-        instance, orders = build_nested_scaled(args.k1, args.k2, args.k3,
-                                               u_size=args.usize, q=args.q)
-    elif name == "partition-scaled":
-        instance = build_partition_scaled(args.blocks, args.block_size, args.p)
-    elif name == "pairs":
-        instance, orders = build_pairs_instance(args.k)
-    else:
-        raise ValueError(f"unknown construction {name!r}")
+    instance, orders = CONSTRUCTIONS[args.construction](args)
     dump_instance(instance, args.out, orders)
     summary = {"name": instance.name, "n": instance.n,
                "orders": len(orders.orders) if orders else 0,
                "metadata": dict(instance.metadata)}
     if instance.n <= MATERIALIZE_MAX_ELEMENTS:
         summary["family_size"] = len(materialize(instance.feasibility))
-    sys.stdout.write(_json_text(summary))
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -114,15 +106,10 @@ def cmd_simulate(args) -> int:
                       workers=args.workers)
     config = {"instance": instance.name, "policy": args.policy, "order": args.order,
               "trials": args.trials, "seed": args.seed}
-    doc = _wrap("simulate", config, {"report": asdict(report)})
-    if args.format == "csv":
-        header = ["version", "instance", "policy", "order", "trials", "seed",
-                  "mean", "stderr", "ci_lo", "ci_hi"]
-        row = [__version__, instance.name, args.policy, args.order, args.trials,
-               args.seed, report.mean, report.stderr, report.ci95[0], report.ci95[1]]
-        _emit(_csv_text(header, [row]), args.out)
-    else:
-        _emit(_json_text(doc), args.out)
+    # the CSV row is the version, the config in order, and the estimate
+    _write(args, "simulate", config, {"report": asdict(report)},
+           ["version", *config, "mean", "stderr", "ci_lo", "ci_hi"],
+           [[__version__, *config.values(), report.mean, report.stderr, *report.ci95]])
     return 0
 
 
@@ -144,20 +131,14 @@ def cmd_ratio(args) -> int:
     config = {"instance": instance.name, "policy": args.policy,
               "reference": list(args.reference), "trials": args.trials,
               "seed": args.seed}
-    if args.format == "csv":
-        header = ["version", "instance", "policy", "order_index", "num_mean",
-                  "num_stderr", "den_mean", "ratio", "ratio_lo", "ratio_hi",
-                  "min_ratio", "denominator_is_lower_bound"]
-        rows = []
-        for r in est.rows:
-            den_mean = r.denominator.mean if hasattr(r.denominator, "mean") else r.denominator
-            lo, hi = (r.ratio_ci if r.ratio_ci else (None, None))
-            rows.append([__version__, instance.name, args.policy, r.order_index,
-                         r.numerator.mean, r.numerator.stderr, den_mean, r.ratio,
-                         lo, hi, est.min_ratio, est.denominator_is_lower_bound])
-        _emit(_csv_text(header, rows), args.out)
-    else:
-        _emit(_json_text(_wrap("ratio", config, {"report": asdict(est)})), args.out)
+    header = ["version", "instance", "policy", "order_index", "num_mean", "num_stderr",
+              "den_mean", "ratio", "ratio_lo", "ratio_hi", "min_ratio",
+              "denominator_is_lower_bound"]
+    rows = [[__version__, instance.name, args.policy, r.order_index, r.numerator.mean,
+             r.numerator.stderr, getattr(r.denominator, "mean", r.denominator), r.ratio,
+             *(r.ratio_ci or (None, None)), est.min_ratio, est.denominator_is_lower_bound]
+            for r in est.rows]
+    _write(args, "ratio", config, {"report": asdict(est)}, header, rows)
     return 0
 
 
@@ -168,23 +149,20 @@ def cmd_exact(args) -> int:
     instance, orders = load_instance(args.instance)
     limits = SolverLimits(max_states=args.max_states)
     t0 = time.perf_counter()
+    if args.mode != "prophet" and orders is None:
+        raise ValueError(f"{args.mode} mode needs an instance file with orders")
     if args.mode == "aware":
-        if orders is None:
-            raise ValueError("aware mode needs an instance file with orders")
         result = opt_aware_exact(instance, _indexed_order(orders, args.order),
                                  limits=limits)
     elif args.mode == "unaware":
-        if orders is None:
-            raise ValueError("unaware mode needs an instance file with orders")
         result = opt_unaware_exact(instance, orders, limits=limits)
     else:
         result = prophet_exact(instance)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     config = {"instance": instance.name, "mode": args.mode,
               "order": args.order if args.mode == "aware" else None}
-    doc = _wrap("exact", config, {"value": result.value,
-                                  "states_expanded": result.states_expanded})
-    _emit(_json_text(doc), args.out)
+    _write(args, "exact", config, {"value": result.value,
+                                   "states_expanded": result.states_expanded})
     sys.stderr.write(f"wall_time_ms: {wall_ms:.3f}\n")
     return 0
 
@@ -194,15 +172,10 @@ def cmd_exact(args) -> int:
 
 def cmd_constants(args) -> int:
     rows = derived_constants()
-    if args.format == "csv":
-        header = ["name", "value", "reference_value", "abs_err", "method"]
-        data = [[r.name, r.value, r.reference_value, r.abs_err, r.method] for r in rows]
-        _emit(_csv_text(header, data), args.out)
-    else:
-        doc = _wrap("constants", {}, {"rows": [
-            {"name": r.name, "value": r.value, "reference_value": r.reference_value,
-             "abs_err": r.abs_err, "method": r.method} for r in rows]})
-        _emit(_json_text(doc), args.out)
+    fields = ["name", "value", "reference_value", "abs_err", "method"]
+    table = [[getattr(r, f) for f in fields] for r in rows]
+    _write(args, "constants", {}, {"rows": [dict(zip(fields, t)) for t in table]},
+           fields, table)
     if args.check:
         by_name = {r.name: r for r in rows}
         ok = (by_name["penalty_pi1_at_1.152"].abs_err <= 0.001
@@ -226,14 +199,13 @@ def cmd_verify(args) -> int:
         family = build_u_family(n=args.n, alpha=args.alpha, k1=args.k1, k3=args.k3,
                                 seed=args.seed)
         report = verify_u_family(family, k3=args.k3)
-        doc = _wrap("verify", {"what": "ufamily", "n": args.n, "alpha": args.alpha,
-                               "k1": args.k1, "k3": args.k3, "seed": args.seed},
-                    {"attempts": family.attempts,
-                     "sizes": sorted(len(u) for u in family.sets),
-                     "size_ok": report.size_ok, "membership_ok": report.membership_ok,
-                     "intersection_ok": report.intersection_ok,
-                     "witnesses": {k: list(v) for k, v in report.witnesses.items()}})
-        _emit(_json_text(doc), args.out)
+        _write(args, "verify", {"what": "ufamily", "n": args.n, "alpha": args.alpha,
+                                "k1": args.k1, "k3": args.k3, "seed": args.seed},
+               {"attempts": family.attempts,
+                "sizes": sorted(len(u) for u in family.sets),
+                "size_ok": report.size_ok, "membership_ok": report.membership_ok,
+                "intersection_ok": report.intersection_ok,
+                "witnesses": {k: list(v) for k, v in report.witnesses.items()}})
         if args.check and not report.all_ok:
             return CHECK_FAILURE
         return 0
@@ -244,9 +216,8 @@ def cmd_verify(args) -> int:
     with open(args.instance, "rb") as fh:
         original = fh.read()
     identical = instance_text(instance, orders).encode("utf-8") == original
-    doc = _wrap("verify", {"what": "instance", "instance": args.instance},
-                {"round_trip_identical": identical, "n": instance.n})
-    _emit(_json_text(doc), args.out)
+    _write(args, "verify", {"what": "instance", "instance": args.instance},
+           {"round_trip_identical": identical, "n": instance.n})
     if args.check and not identical:
         return CHECK_FAILURE
     return 0
@@ -260,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--construction", required=True,
-                     choices=["tree", "multiunit", "nested-scaled", "partition-scaled",
-                              "pairs"])
+    gen.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--k1", type=int, default=2)
     gen.add_argument("--k2", type=int, default=8)
@@ -275,28 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    sim = sub.add_parser("simulate", help="Monte-Carlo policy evaluation")
-    sim.add_argument("--instance", required=True)
-    sim.add_argument("--policy", required=True)
+    # the flags simulate and ratio share
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--instance", required=True)
+    mc.add_argument("--policy", required=True)
+    mc.add_argument("--trials", type=int, required=True)
+    mc.add_argument("--seed", type=int, required=True)
+    mc.add_argument("--workers", type=int, default=1)
+    mc.add_argument("--format", choices=["json", "csv"], default="json")
+    mc.add_argument("--out")
+
+    sim = sub.add_parser("simulate", parents=[mc], help="Monte-Carlo policy evaluation")
     sim.add_argument("--order", default="0",
                      help="order index, 'sampled', or 'tree'")
-    sim.add_argument("--trials", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--format", choices=["json", "csv"], default="json")
-    sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
 
-    rat = sub.add_parser("ratio", help="per-order ratio vs an aware reference")
-    rat.add_argument("--instance", required=True)
-    rat.add_argument("--policy", required=True)
+    rat = sub.add_parser("ratio", parents=[mc],
+                         help="per-order ratio vs an aware reference")
     rat.add_argument("--reference", action="append", default=None,
                      help="'exact' or a reference policy spec (repeatable, one per order)")
-    rat.add_argument("--trials", type=int, required=True)
-    rat.add_argument("--seed", type=int, required=True)
-    rat.add_argument("--workers", type=int, default=1)
-    rat.add_argument("--format", choices=["json", "csv"], default="json")
-    rat.add_argument("--out")
     rat.set_defaults(func=cmd_ratio)
 
     exa = sub.add_parser("exact", help="exact solvers on small instances")

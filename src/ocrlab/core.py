@@ -417,6 +417,14 @@ def instance_text(instance: Instance,
             + ',\n  "orders": ' + _list_text(order_rows, 1) + "\n}\n")
 
 
+def _number(x) -> float:
+    """A value, probability or weight read from a file: a JSON number, never
+    a string or a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError("values, probabilities and weights must be numbers")
+    return float(x)
+
+
 def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistribution | None]:
     """Elements whose atoms are equal share one ``ValueDistribution``, so a
     loaded instance pickles as small as a built one. (A ``-0.0`` atom thus
@@ -425,7 +433,7 @@ def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistributio
 
     try:
         elements = sorted(doc["elements"], key=lambda r: r["id"])
-        if [r["id"] for r in elements] != list(range(len(elements))):
+        if feas._ints(*(r["id"] for r in elements)) != tuple(range(len(elements))):
             raise ValueError("element ids must be dense integers from 0")
         interned: dict[tuple, ValueDistribution] = {}
         dists = []
@@ -435,7 +443,7 @@ def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistributio
             d = interned.get(row)
             if d is None:
                 d = interned[row] = ValueDistribution(
-                    tuple((float(v), float(p)) for v, p in row))
+                    tuple((_number(v), _number(p)) for v, p in row))
             dists.append(d)
         oracle = feas.oracle_from_json(doc["feasibility"])
         metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
@@ -445,7 +453,7 @@ def instance_from_json_dict(doc: dict) -> tuple[Instance, FiniteOrderDistributio
         if doc.get("orders"):
             orders = FiniteOrderDistribution(
                 tuple(r["sequence"] for r in doc["orders"]),
-                tuple(float(r["weight"]) for r in doc["orders"]),
+                tuple(_number(r["weight"]) for r in doc["orders"]),
             )
             if len(orders.orders[0]) != inst.n:
                 raise ValueError("order must be a permutation of all element ids")

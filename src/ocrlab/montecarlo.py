@@ -150,15 +150,11 @@ def _multiunit_totals_from_x(policy: MultiunitThresholdPolicy, k: int,
     m = policy.threshold_count(k)
     s = np.minimum(k - m, x)
     base = 1.75 * m
-    if policy.variant == "pi1":
-        return base + 2.0 * s
-    if policy.variant == "pi2":
-        if tag == "pi1":
-            return np.full_like(s, base + (k - m), dtype=np.float64)
-        return base + s + (k - m)
-    # the committed rule plays pi1-style when units precede the random block
-    # and pi2-style otherwise
-    if tag == "pi1":
+    if policy.variant == "pi2" and tag == "pi1":
+        return np.full_like(s, base + (k - m), dtype=np.float64)
+    # pi1 on either order, and the committed rule when units precede the
+    # random block; the committed rule plays pi2-style otherwise
+    if policy.variant == "pi1" or tag == "pi1":
         return base + 2.0 * s
     return base + s + (k - m)
 

@@ -218,6 +218,15 @@ class TestExact:
                            "--mode", "aware", "--order", "1")
         assert code == 0 and json.loads(out)["config"]["order"] == 1
 
+    @pytest.mark.parametrize("mode", ["aware", "unaware"])
+    def test_a_file_without_orders_has_no_aware_or_unaware_optimum(self, tmp_path,
+                                                                   capsys, mode):
+        path = tmp_path / "tree.json"
+        assert run(capsys, "gen", "--construction", "tree", "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "exact", "--instance", str(path), "--mode", mode)
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: {mode} mode needs an instance file with orders\n"
+
     def test_unaware_needs_orders(self, tmp_path, capsys):
         path = tmp_path / "part.json"
         run(capsys, "gen", "--construction", "partition-scaled", "--blocks", "2",
@@ -240,6 +249,65 @@ def test_out_writes_the_printed_report(multiunit_file, tmp_path, capsys, argv):
     code, out, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_bytes() == printed.encode("utf-8")
+
+
+# stdout of each report at a fixed working directory, so the relative file
+# names in the configs are fixed
+MU_THRESHOLD = "multiunit_threshold:d=0.913,variant="
+REPORT_SHA256 = {
+    "simulate-json": (
+        ("simulate", "--instance", "mu.json", "--policy",
+         "multiunit_threshold:d=1.152,variant=pi1", "--trials", "300", "--seed", "1"),
+        "1910ecb0c5f54f1608ee1be590833aaf3ed7853506ffee7f565dea8b9c1e2fc6"),
+    "simulate-csv": (
+        ("simulate", "--instance", "tree.json", "--policy", "tree_aware", "--order", "tree",
+         "--trials", "200", "--seed", "2", "--format", "csv"),
+        "0fc915c3dc3a65d87693686f700bd3cb6b9b5423c09f4fa826ca4bfd6c259ae1"),
+    "ratio-json": (
+        ("ratio", "--instance", "mu.json", "--policy", MU_THRESHOLD + "unaware",
+         "--trials", "200", "--seed", "3"),
+        "001fb4411de1176812154fbc95183eb6f382683508655fe1139e898bae1be602"),
+    "ratio-csv-policy-reference": (
+        ("ratio", "--instance", "mu.json", "--policy", "greedy",
+         "--reference", MU_THRESHOLD + "pi1", "--trials", "200", "--seed", "3",
+         "--format", "csv"),
+        "57f36fc50a7e373bb7476c0c9c37ca8e9550d81cf38a6d874df4f45f33c378cc"),
+    "exact-aware": (
+        ("exact", "--instance", "mu.json", "--mode", "aware", "--order", "1"),
+        "9a36e41a76afe149e6b5c250daabe80dac1f891ca5916ff64addb4d54badd156"),
+    "exact-unaware": (
+        ("exact", "--instance", "mu.json", "--mode", "unaware"),
+        "bc6da1cc774e7f3afe7a4513e31fa21626773f3112d9f5200945b9f7bac08467"),
+    "exact-prophet": (
+        ("exact", "--instance", "tree.json", "--mode", "prophet"),
+        "f22720641419671cc7f4f5e6294bf17a5e2f13a69ed15095bbab52ffd18cc8f6"),
+    "constants-json": (
+        ("constants",),
+        "c40a67e8c7af36fa0e87ea70a480722680b22565f00008268b25c4a7aaaa436e"),
+    "constants-csv": (
+        ("constants", "--format", "csv"),
+        "61a9503f177423faa9d5bafcd3f5a544f88302b53bc1c03daef07e093c7fcf0d"),
+    "verify-ufamily": (
+        ("verify", "--what", "ufamily", "--n", "65536", "--alpha", "10", "--k1", "4",
+         "--k3", "64", "--seed", "1"),
+        "2c5ccb71d865fb2e7fb84f2eb148e243ec6de2131b25a6dd58c36b6eaa3678c0"),
+    "verify-instance": (
+        ("verify", "--what", "instance", "--instance", "mu.json"),
+        "a1bea13c7c918c99bc7affaa19f5b7e1e36c7135b7f811da6511c1ac257a898d"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SHA256))
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, name):
+    # the shape tests above read the reports; this holds every byte of them
+    monkeypatch.chdir(tmp_path)
+    for argv in (("multiunit", "--k", "4", "--out", "mu.json"),
+                 ("tree", "--k", "2", "--out", "tree.json")):
+        assert run(capsys, "gen", "--construction", *argv)[0] == 0
+    argv, sha256 = REPORT_SHA256[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 class TestConstantsAndVerify:
@@ -483,6 +551,18 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, str(bad))
         assert code == USAGE_ERROR and out == ""
         assert err == "error: counts and ids must be integers\n"
+
+    def test_usage_error_on_a_string_weight(self, pairs_file, tmp_path, capsys):
+        # float("1") loaded it, so simulate ran and the file did not round-trip
+        with open(pairs_file) as fh:
+            doc = json.load(fh)
+        doc["orders"][0]["weight"] = "1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--instance", str(bad), "--policy", "greedy",
+                             "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == "error: values, probabilities and weights must be numbers\n"
 
     @pytest.mark.parametrize("key", ["id", "name"])
     def test_usage_error_on_a_missing_key(self, pairs_file, tmp_path, capsys, key):

@@ -456,6 +456,39 @@ class TestJsonSchema:
         loaded, _ = load_instance(path)
         assert len({id(d) for d in loaded.dists}) == len(set(loaded.dists)) == 3
 
+    @staticmethod
+    def _one_order_doc():
+        # element 1 is worth 1.0 for sure, and the one order weighs 1.0
+        return instance_to_json_dict(_pairs_instance(),
+                                     FiniteOrderDistribution.uniform([(0, 1, 2, 3)]))
+
+    @pytest.mark.parametrize("key,value", [
+        ("id", 1.0), ("id", True), ("atom", "1"), ("atom", True),
+        ("probability", "1"), ("probability", True), ("weight", "1"), ("weight", True)])
+    def test_rejects_an_id_or_number_of_another_type(self, key, value):
+        # == on ids and float() on numbers read each of these as 1, so the
+        # file loaded, and did not round-trip
+        doc = self._one_order_doc()
+        row = doc["elements"][1]
+        if key == "id":
+            row["id"] = value
+        elif key == "atom":
+            row["dist"] = [[value, 1.0]]
+        elif key == "probability":
+            row["dist"] = [[1.0, value]]
+        else:
+            doc["orders"][0]["weight"] = value
+        with pytest.raises(ValueError, match="integers" if key == "id" else "numbers"):
+            instance_from_json_dict(doc)
+
+    def test_accepts_json_integers_as_numbers(self):
+        doc = self._one_order_doc()
+        doc["elements"][1]["dist"] = [[1, 0.5], [0, 0.5]]
+        doc["orders"][0]["weight"] = 1
+        inst, orders = instance_from_json_dict(doc)
+        assert inst.dists[1] == ValueDistribution(((1.0, 0.5), (0.0, 0.5)))
+        assert orders.weights == (1.0,)
+
 
 def _schema_text(instance, orders=None) -> str:
     """The canonical text as the schema defines it."""
