@@ -239,6 +239,9 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int) -> UFamily:
     which keeps pairwise intersections in check. Sets must additionally be
     pairwise distinct so an arrival order identifies its index.
     """
+    for name, size, least in (("n", n, 2), ("k1", k1, 0), ("k3", k3, 1)):
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, got {size}")
     num_sets = 2 ** k1
     if num_sets > 2 ** k3:
         raise ExhaustedAttempts(
@@ -279,7 +282,8 @@ def build_nested_scaled(k1: int, k2: int, k3: int, u_size: int, q: float
     minus U_i, B, then U_i."""
     # refused before any of the 2**k1 U sets is built; the oracle checks the
     # sizes again, for loaded files
-    for part, size, least in (("k1", k1, 0), ("k2", k2, 1), ("k3", k3, 0)):
+    for part, size, least in (("k1", k1, 0), ("k2", k2, 1), ("k3", k3, 0),
+                              ("u_size", u_size, 0)):
         if size < least:
             raise ValueError(f"{part} must be at least {least}, got {size}")
     _check_cap(k1 + k2 + k3)

@@ -252,8 +252,8 @@ class MultiunitThresholdPolicy(Policy):
     def __init__(self, d: float, variant: str):
         if variant not in (PI1, PI2, UNAWARE_COMMIT):
             raise ValueError(f"unknown variant {variant!r}")
-        if d < 0:
-            raise BadThreshold("threshold must be nonnegative")
+        if not 0 <= d < math.inf:  # a NaN fails both comparisons
+            raise BadThreshold(f"threshold must be finite and nonnegative, got {d}")
         self.d = d
         self.variant = variant
         self.name = f"multiunit_threshold_d{d}_{variant}"

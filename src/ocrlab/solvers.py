@@ -20,13 +20,13 @@ import numpy as np
 from .core import (DISCARD, SELECT, Action, ArrivalOrder, FiniteOrderDistribution,
                    Instance, check_order)
 from .errors import InconsistentState, PolicyViolation, TooLarge
-from .feasibility import (ExplicitFamilyOracle, KUniformOracle, NestedPhaseOracle,
-                          PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
+from .feasibility import (PairMatchOracle, PartitionOneBlockOracle, TreePathOracle,
                           materialize, tree_layout)
 from .policies import Knowledge
 
 
 MAX_REALIZATIONS = 1 << 20  # the most value realizations or group-sum points
+PROPHET_ROWS = 4096  # the realizations per block of the prophet's enumeration
 
 
 @dataclass(frozen=True)
@@ -222,33 +222,28 @@ def _tree_induction(instance: Instance, orders: FiniteOrderDistribution,
 # --- offline benchmark ---------------------------------------------------------
 
 
-def max_feasible_sum(oracle, values: np.ndarray) -> float:
-    """Offline maximum of a feasible set's value sum for one realization."""
+def max_feasible_sum(oracle, values: np.ndarray) -> float | np.ndarray:
+    """Offline maximum of a feasible set's value sum, for one realization
+    (a float) or for each row of a ``(rows, n)`` block (an array). One pass
+    over the ids keeps, per oracle state, the best sum selected so far in
+    each row; a state left after the last id has decided every element, so
+    its selected set is feasible."""
     values = np.asarray(values, dtype=np.float64)
-    if isinstance(oracle, ExplicitFamilyOracle):
-        return max(sum(values[e] for e in s) for s in oracle.sets)
-    if isinstance(oracle, KUniformOracle):
-        if oracle.k == 0:
-            return 0.0
-        return float(np.sort(values)[-oracle.k:].sum())
-    if isinstance(oracle, TreePathOracle):
-        # per leaf, the sum over its root-to-leaf path
-        layout, leaves = tree_layout(oracle.k), np.arange(oracle.k ** oracle.k)
-        return float(sum(values[o + leaves // w]
-                         for o, w in zip(layout.offsets, layout.width)).max())
-    if isinstance(oracle, PartitionOneBlockOracle):
-        return max(sum(values[e] for e in b) for b in oracle.blocks)
-    if isinstance(oracle, PairMatchOracle):
-        return float(max(values[i] + values[i + oracle.k] for i in range(oracle.k)))
-    if isinstance(oracle, NestedPhaseOracle):
-        best = -np.inf
-        for i in range(len(oracle.u_sets)):
-            base = sum(values[e] for e in oracle.v_set(i))
-            for j, b in enumerate(oracle.b_ids):
-                s = base + values[b] + sum(values[e] for e in oracle.completion(i, j))
-                best = max(best, s)
-        return float(best)
-    raise TooLarge(f"no offline optimizer for oracle kind {oracle.kind!r}")
+    if values.shape[-1] != oracle.n:
+        raise ValueError(f"{values.shape[-1]} values for {oracle.n} elements")
+    best = {oracle.start(): np.zeros(values.shape[:-1])}
+    for e in range(oracle.n):
+        after_sel, after_dis = oracle.successors(list(best), e)
+        nxt: dict = {}
+        for moves, gain in ((after_dis, None), (after_sel, values[..., e])):
+            for s, sums in zip(moves, best.values()):
+                if s is not None:
+                    if gain is not None:
+                        sums = sums + gain
+                    nxt[s] = np.maximum(nxt[s], sums) if s in nxt else sums
+        best = nxt
+    top = np.max(list(best.values()), axis=0)
+    return float(top) if values.ndim == 1 else top
 
 
 def _iter_realizations(instance: Instance):
@@ -307,9 +302,10 @@ def _expected_max_independent(dists: list[dict[float, float]]) -> tuple[float, i
 
 
 def prophet_exact(instance: Instance) -> SolveResult:
-    """E[max feasible sum]: by enumeration of the product support, or, when
-    the constraint decomposes into independent groups (one block / one
-    pair), from the exact group-sum distributions."""
+    """E[max feasible sum]: over the product support, in blocks of
+    ``PROPHET_ROWS`` realizations through ``max_feasible_sum``, or, when the
+    constraint decomposes into independent groups (one block / one pair),
+    from the exact group-sum distributions."""
     oracle = instance.feasibility
     groups = None
     if isinstance(oracle, PartitionOneBlockOracle):
@@ -322,9 +318,12 @@ def prophet_exact(instance: Instance) -> SolveResult:
         return SolveResult(value=value, states_expanded=states)
     total = 0.0
     states = 0
-    for values, prob in _iter_realizations(instance):
-        total += prob * max_feasible_sum(instance.feasibility, values)
-        states += 1
+    realizations = _iter_realizations(instance)
+    while block := list(itertools.islice(realizations, PROPHET_ROWS)):
+        values, probs = zip(*block)
+        for prob, best in zip(probs, max_feasible_sum(oracle, np.array(values)).tolist()):
+            total += prob * best  # in realization order, as one at a time
+        states += len(block)
     return SolveResult(value=total, states_expanded=states)
 
 

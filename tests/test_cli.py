@@ -441,14 +441,45 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == "" and not path.exists()
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
-    @pytest.mark.parametrize("usize", ["0", "-1"])
-    def test_resource_error_on_equal_u_sets(self, tmp_path, capsys, usize):
-        # two or more U sets that are empty slices of C cannot be told apart
+    @pytest.mark.parametrize("usize,expected,message", [
+        ("0", RESOURCE_ERROR, "U sets must be pairwise distinct to make orders decodable"),
+        ("-1", USAGE_ERROR, "u_size must be at least 0, got -1")],
+        ids=["0", "-1"])
+    def test_resource_error_on_equal_u_sets(self, tmp_path, capsys, usize, expected,
+                                            message):
+        # two or more U sets that are empty slices of C cannot be told apart;
+        # a negative size reached this check too (exit 3), and is now refused
+        # with the other sizes, before any U set is built
         path = tmp_path / "n.json"
         code, out, err = run(capsys, "gen", "--construction", "nested-scaled",
                              "--usize", usize, "--out", str(path))
-        assert code == RESOURCE_ERROR and out == "" and not path.exists()
-        assert err == "error: U sets must be pairwise distinct to make orders decodable\n"
+        assert code == expected and out == "" and not path.exists()
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,named", [
+        (("--k1", "-1"), "k1 must be at least 0, got -1"),
+        (("--k1", "0", "--k3", "0"), "k3 must be at least 1, got 0"),
+        (("--n", "0"), "n must be at least 2, got 0"),
+        (("--n", "1"), "n must be at least 2, got 1")],
+        ids=["k1-negative", "k3-zero", "n-zero", "n-one"])
+    def test_usage_error_on_a_ufamily_size_that_builds_nothing(self, capsys, argv, named):
+        # these gave a TypeError or ZeroDivisionError traceback, "math domain
+        # error", or a resource error
+        code, out, err = run(capsys, "verify", "--what", "ufamily", *argv)
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    @pytest.mark.parametrize("d", ["inf", "nan", "-inf"])
+    def test_usage_error_on_a_threshold_that_is_not_finite(self, multiunit_file, capsys,
+                                                           command, d):
+        # d=inf died in the run with an OverflowError traceback; d=nan
+        # failed only once a trial started
+        code, out, err = run(capsys, command, "--instance", multiunit_file,
+                             "--policy", f"multiunit_threshold:d={d},variant=pi1",
+                             "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: threshold must be finite and nonnegative, got {float(d)}\n"
 
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",
@@ -469,17 +500,23 @@ class TestExitCodes:
         ("3 16 32 4 0.1", "106ca13407da8f2aa73c18144de9cc016a7c5105397a552b080fca4bf8f77fd2"),
         ("0 1 2 0 0.1", "7bbdf4438369bcdfaa3b94c60a42c498ae061b74eb782b4d0f2697ba3d68ecb9"),
         ("2 4 8 2 0.25", "19f8958898c8bf99388b5ef5d64fe8f79d8744dd72a27aebb5a24362b3d518c8"),
-        ("0 1 2 -1 0.1", "5392240cd47f66f98187c239376c12ecc93dbb55a9984eeb7a0032675c69fd11")],
+        ("0 1 2 -1 0.1", None)],
         ids=["2-8-12-3", "3-16-32-4", "0-1-2-0", "2-4-8-2", "0-1-2-minus1"])
     def test_gen_nested_scaled_bytes(self, tmp_path, capsys, parts, sha256):
         # pinned file bytes; with --k1 0 the one U set may be empty, as
-        # --usize 0 or -1 makes it
+        # --usize 0 makes it. --usize -1 wrote a file whose metadata said
+        # "u_size": "-1"; it now writes none (sha256 None)
         path = tmp_path / "n.json"
         argv = [f"--{key}={v}" for key, v in zip(("k1", "k2", "k3", "usize", "q"),
                                                    parts.split())]
-        assert run(capsys, "gen", "--construction", "nested-scaled", *argv,
-                   "--out", str(path))[0] == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        code, out, err = run(capsys, "gen", "--construction", "nested-scaled", *argv,
+                             "--out", str(path))
+        if sha256 is None:
+            assert code == USAGE_ERROR and out == "" and not path.exists()
+            assert err == "error: u_size must be at least 0, got -1\n"
+        else:
+            assert code == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_resource_error_on_a_tree_over_the_element_cap(self, tmp_path, capsys):
         # k = 8 has 19,173,960 elements; the cap is checked before any is built

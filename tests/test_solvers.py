@@ -3,6 +3,7 @@ closed-form values on the calibration instances, and resource guards."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -409,10 +410,7 @@ class TestProphet:
         instance = build_partition_scaled(blocks=2, block_size=3, p=0.4)
         decomposed = prophet_exact(instance).value
         # same family via an explicit oracle forces the enumeration path
-        explicit = Instance(
-            name="partition-explicit", dists=instance.dists,
-            feasibility=ExplicitFamilyOracle(
-                n=instance.n, sets=materialize(instance.feasibility)))
+        explicit = _explicit_copy(instance)
         assert decomposed == pytest.approx(prophet_exact(explicit).value, abs=1e-12)
 
     def test_max_feasible_sum_matches_materialized_family(self):
@@ -422,13 +420,97 @@ class TestProphet:
                    build_partition_scaled(blocks=2, block_size=3, p=0.5).feasibility,
                    TreePathOracle(k=2), nested_demo(), nested_overlapping(),
                    ExplicitFamilyOracle(n=5, sets=(frozenset(), frozenset({0, 3}),
-                                                   frozenset({1, 2, 4}), frozenset({4})))]
+                                                   frozenset({1, 2, 4}), frozenset({4}))),
+                   _NoNeighbours(n=7)]
         for oracle in oracles:
             family = materialize(oracle)
             for _ in range(20):
                 values = rng.random(oracle.n)
                 brute = max(sum(values[e] for e in s) for s in family)
                 assert max_feasible_sum(oracle, values) == pytest.approx(brute, abs=1e-12)
+
+    # recorded on the per-kind optimizers the prophet had before it walked
+    # the oracle's state; pairs and partition take the group-sum path
+    @pytest.mark.parametrize("build,value,states", [
+        (lambda: build_multiunit_instance(5)[0], 9.84619140625, 1024),
+        (lambda: build_multiunit_instance(8)[0], 15.803619384765625, 65536),
+        (lambda: build_nested_scaled(2, 8, 12, u_size=3, q=0.1)[0], 0.5695327899999997, 256),
+        (lambda: build_nested_scaled(3, 16, 32, u_size=4, q=0.1)[0], 0.8146979811149215,
+         65536),
+        (lambda: build_tree_instance(2), 1.59375, 64),
+        (lambda: build_pairs_instance(3)[0], 0.42129629629629617, 2),
+        (lambda: build_partition_scaled(blocks=2, block_size=3, p=0.4), 1.6573440000000002, 4),
+        (lambda: _explicit_copy(build_partition_scaled(blocks=2, block_size=3, p=0.4)),
+         1.6573439999999997, 64)],
+        ids=["multiunit-5", "multiunit-8", "nested-2-8-12", "nested-3-16-32", "tree-2",
+             "pairs-3", "partition", "partition-explicit"])
+    def test_pinned_values(self, build, value, states):
+        result = prophet_exact(build())
+        assert (repr(result.value), result.states_expanded) == (repr(value), states)
+        assert type(result.value) is float
+
+    def test_blocks_keep_the_bits(self, monkeypatch):
+        # realizations are added in the same order whatever the block size
+        instances = [build_multiunit_instance(3)[0],
+                     build_nested_scaled(2, 8, 12, u_size=3, q=0.1)[0],
+                     _explicit_copy(build_partition_scaled(blocks=2, block_size=3, p=0.4))]
+        whole = [prophet_exact(i) for i in instances]
+        monkeypatch.setattr(solvers, "PROPHET_ROWS", 5)
+        assert [prophet_exact(i) for i in instances] == whole
+
+    def test_a_block_matches_row_by_row(self):
+        rng = np.random.default_rng(31)
+        for oracle in [KUniformOracle(n=6, k=2), TreePathOracle(k=2), nested_demo(),
+                       build_pairs_instance(3)[0].feasibility, _NoNeighbours(n=7)]:
+            block = rng.random((9, oracle.n))
+            rows = [max_feasible_sum(oracle, row) for row in block]
+            assert all(type(r) is float for r in rows)
+            assert max_feasible_sum(oracle, block).tolist() == rows
+        with pytest.raises(ValueError, match="5 values for 6 elements"):
+            max_feasible_sum(KUniformOracle(n=6, k=2), np.zeros(5))
+
+    def test_an_oracle_of_another_kind(self):
+        # the per-kind optimizers raised TooLarge on any kind but the six
+        oracle = _NoNeighbours(n=6)
+        dists = tuple(ValueDistribution(((0.5 * e, 0.25), (1.0 + e / 7, 0.75)))
+                      for e in range(oracle.n))
+        instance = Instance(name="no-neighbours", dists=dists, feasibility=oracle)
+        family = materialize(oracle)
+        brute = sum(prob * max(sum(values[e] for e in s) for s in family)
+                    for values, prob in _iter_realizations(instance))
+        result = prophet_exact(instance)
+        assert result.states_expanded == 2 ** oracle.n
+        assert result.value == pytest.approx(brute, abs=1e-12)
+
+
+def _explicit_copy(instance):
+    """The same family through an explicit oracle, which takes the
+    enumeration path."""
+    return Instance(name=f"{instance.name}-explicit", dists=instance.dists,
+                    feasibility=ExplicitFamilyOracle(
+                        n=instance.n, sets=materialize(instance.feasibility)))
+
+
+@dataclasses.dataclass(frozen=True)
+class _NoNeighbours:
+    """An oracle of none of the package's kinds: the sets with no two
+    consecutive ids, as the frozenset of selected ids."""
+
+    n: int
+
+    def start(self):
+        return frozenset()
+
+    def step(self, selected, e):
+        clash = e - 1 in selected or e + 1 in selected
+        return None if clash else selected | {e}, selected
+
+    def successors(self, states, e):
+        steps = [self.step(s, e) for s in states]
+        return [a for a, _ in steps], [b for _, b in steps]
+
+    def is_feasible(self, s):
+        return all(e + 1 not in s for e in s)
 
 
 def _enumerated(policy, instance, knowledge) -> float:
