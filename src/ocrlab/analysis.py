@@ -1,17 +1,15 @@
 """Closed-form constants behind the 2k - c*sqrt(k) bounds: normal-tail
 helpers, the two per-order penalty functions, the optimal thresholds, and the
-final asymptotic margins, plus Chernoff tail bounds."""
+final asymptotic margins."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import BadBracket, DomainError
+from statistics import NormalDist
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def normal_cdf(x: float) -> float:
@@ -40,39 +38,6 @@ def penalty_pi2(d: float) -> float:
     return (expected_max_normal(d) - 3.0 * d / 4.0) / SQRT2
 
 
-def minimize_scalar(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section search for a unimodal f on [lo, hi]."""
-    if not (lo < hi) or tol <= 0:
-        raise BadBracket(f"invalid bracket [{lo}, {hi}] or tolerance {tol}")
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def chernoff_multiplicative(e_x: float, delta: float, two_sided: bool) -> float:
-    """Multiplicative Chernoff tail bounds for a sum with mean e_x:
-    two-sided 2*exp(-delta^2*e_x/3), one-sided exp(-delta^2*e_x/(2+delta))."""
-    if e_x <= 0:
-        raise DomainError("mean must be positive")
-    if delta < 0 or (two_sided and delta > 1):
-        raise DomainError(f"delta {delta} outside the bound's validity range")
-    if two_sided:
-        return 2.0 * math.exp(-delta * delta * e_x / 3.0)
-    return math.exp(-delta * delta * e_x / (2.0 + delta))
-
-
 @dataclass(frozen=True)
 class ConstantReport:
     name: str
@@ -94,8 +59,9 @@ def derived_constants() -> list[ConstantReport]:
     """Every named constant, each computed from scratch, with the rounded
     reference value it is reported against."""
     rows: list[ConstantReport] = []
-    d1_star, _ = minimize_scalar(penalty_pi1, 0.0, 3.0, tol=1e-10)
-    d2_star, _ = minimize_scalar(penalty_pi2, 0.0, 3.0, tol=1e-10)
+    # penalty'(d) = c*(Phi(d) - level), c > 0, level 7/8 or 3/4: argmin Phi^-1(level)
+    d1_star = NormalDist().inv_cdf(7.0 / 8.0)
+    d2_star = NormalDist().inv_cdf(3.0 / 4.0)
     b1 = penalty_pi1(1.152)
     b2 = penalty_pi2(0.674)
     a1 = penalty_pi1(0.913)
@@ -104,8 +70,8 @@ def derived_constants() -> list[ConstantReport]:
     rows.append(ConstantReport("penalty_pi2_at_0.674", b2, 0.224, "closed form"))
     rows.append(ConstantReport("penalty_pi1_at_0.913", a1, 0.301, "closed form"))
     rows.append(ConstantReport("penalty_pi2_at_0.913", a2, 0.231, "closed form"))
-    rows.append(ConstantReport("argmin_penalty_pi1", d1_star, 1.152, "golden section"))
-    rows.append(ConstantReport("argmin_penalty_pi2", d2_star, 0.674, "golden section"))
+    rows.append(ConstantReport("argmin_penalty_pi1", d1_star, 1.152, "Phi^-1(7/8)"))
+    rows.append(ConstantReport("argmin_penalty_pi2", d2_star, 0.674, "Phi^-1(3/4)"))
     # per-order advantage of the aware thresholds over the committed rule:
     # a/2 of the sqrt(k) coefficient, minus b/4 given up in the other order
     rows.append(ConstantReport("advantage_pi1", a1 / 2.0, 0.150, "a = penalty(0.913)"))

@@ -239,7 +239,8 @@ def build_u_family(n: int, alpha: int, k1: int, k3: int, seed: int) -> UFamily:
     which keeps pairwise intersections in check. Sets must additionally be
     pairwise distinct so an arrival order identifies its index.
     """
-    for name, size, least in (("n", n, 2), ("k1", k1, 0), ("k3", k3, 1)):
+    for name, size, least in (("n", n, 2), ("alpha", alpha, 0), ("k1", k1, 0),
+                              ("k3", k3, 1)):
         if size < least:
             raise ValueError(f"{name} must be at least {least}, got {size}")
     num_sets = 2 ** k1

@@ -45,10 +45,3 @@ class MissingLabels(OcrlabError):
 class BadThreshold(OcrlabError):
     """A threshold parameter is outside its valid range."""
 
-
-class BadBracket(OcrlabError):
-    """A scalar minimization bracket is invalid."""
-
-
-class DomainError(OcrlabError):
-    """A numeric argument is outside the function's domain."""

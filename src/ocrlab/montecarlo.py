@@ -505,7 +505,10 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
         references = [references] * n_orders
     if len(references) != n_orders:
         raise ValueError("need one reference per order")
-    per_order_trials = max(2, trials // n_orders)
+    if trials < 2 * n_orders:
+        raise ValueError(f"need at least 2 trials per order ({2 * n_orders} for "
+                         f"{n_orders} orders), got {trials}")
+    per_order_trials = trials // n_orders
     rows: list[RatioRow] = []
     notes: list[str] = []
     lower_bound = any(isinstance(r, Policy) for r in references)

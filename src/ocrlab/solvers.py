@@ -9,7 +9,6 @@ All solvers are exact over finite supports; they are guarded by
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -246,27 +245,31 @@ def max_feasible_sum(oracle, values: np.ndarray) -> float | np.ndarray:
     return float(top) if values.ndim == 1 else top
 
 
-def _iter_realizations(instance: Instance):
-    """Yield (values, probability) over the product support of all
-    nondeterministic elements."""
-    n = instance.n
+def _realization_blocks(instance: Instance):
+    """Yield (values, probs) blocks of at most ``PROPHET_ROWS`` realizations
+    of the product support of all nondeterministic elements, in
+    ``itertools.product`` order (the last such element varies fastest); each
+    probability is the product of its atoms' probabilities, taken in id
+    order as one realization at a time would take them."""
     base = np.array([d.atoms[0][0] for d in instance.dists], dtype=np.float64)
-    stochastic = [i for i, d in enumerate(instance.dists) if not d.is_deterministic]
+    stochastic = [(i, np.array(d.atoms, dtype=np.float64).T)
+                  for i, d in enumerate(instance.dists) if not d.is_deterministic]
     count = 1
-    for i in stochastic:
-        count *= len(instance.dists[i].atoms)
+    for _, atoms in stochastic:
+        count *= atoms.shape[1]
         if count > MAX_REALIZATIONS:
             raise TooLarge(f"support product exceeds {MAX_REALIZATIONS}")
-    if not stochastic:
-        yield base, 1.0
-        return
-    for combo in itertools.product(*(instance.dists[i].atoms for i in stochastic)):
-        values = base.copy()
-        prob = 1.0
-        for i, (v, p) in zip(stochastic, combo):
-            values[i] = v
-            prob *= p
-        yield values, prob
+    for start in range(0, count, PROPHET_ROWS):
+        index = np.arange(start, min(start + PROPHET_ROWS, count))
+        values = np.tile(base, (len(index), 1))
+        probs = np.ones(len(index))
+        stride = count
+        for i, (atom_values, atom_probs) in stochastic:
+            stride //= len(atom_values)
+            digit = index // stride % len(atom_values)
+            values[:, i] = atom_values[digit]
+            probs *= atom_probs[digit]
+        yield values, probs
 
 
 def _group_sum_dist(instance: Instance, ids) -> dict[float, float]:
@@ -318,12 +321,10 @@ def prophet_exact(instance: Instance) -> SolveResult:
         return SolveResult(value=value, states_expanded=states)
     total = 0.0
     states = 0
-    realizations = _iter_realizations(instance)
-    while block := list(itertools.islice(realizations, PROPHET_ROWS)):
-        values, probs = zip(*block)
-        for prob, best in zip(probs, max_feasible_sum(oracle, np.array(values)).tolist()):
+    for values, probs in _realization_blocks(instance):
+        for prob, best in zip(probs.tolist(), max_feasible_sum(oracle, values).tolist()):
             total += prob * best  # in realization order, as one at a time
-        states += len(block)
+        states += len(probs)
     return SolveResult(value=total, states_expanded=states)
 
 

@@ -1,5 +1,6 @@
 """Closed-form constants: quadrature cross-checks, monotonicity of the
-penalty curves, optimizer behavior, and the normal approximation bridge."""
+penalty curves, the thresholds at their normal quantiles, and the normal
+approximation bridge."""
 
 from __future__ import annotations
 
@@ -9,11 +10,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ocrlab.analysis import (chernoff_multiplicative, derived_constants,
-                             expected_max_normal, minimize_scalar, normal_cdf,
+from ocrlab.analysis import (derived_constants, expected_max_normal, normal_cdf,
                              normal_pdf, penalty_pi1, penalty_pi2,
                              tree_layer_bound)
-from ocrlab.errors import BadBracket, DomainError
 
 
 class TestNormalHelpers:
@@ -40,9 +39,9 @@ class TestPenalties:
     @pytest.mark.parametrize("penalty,phi_level", [(penalty_pi1, 7.0 / 8.0),
                                                    (penalty_pi2, 3.0 / 4.0)])
     def test_unimodal_with_argmin_at_the_quantile(self, penalty, phi_level):
-        argmin, _ = minimize_scalar(penalty, 0.0, 3.0, tol=1e-10)
-        assert abs(normal_cdf(argmin) - phi_level) <= 1e-3
-        assert argmin == pytest.approx(stats.norm.ppf(phi_level), abs=1e-3)
+        rows = {r.name: r.value for r in derived_constants()}
+        argmin = rows[f"argmin_{penalty.__name__}"]
+        assert abs(argmin - stats.norm.ppf(phi_level)) <= 1e-15
         grid = np.arange(0.0, 3.0, 0.01)
         vals = [penalty(x) for x in grid]
         below = grid <= argmin
@@ -57,36 +56,6 @@ class TestPenalties:
         assert penalty_pi2(0.674) == pytest.approx(0.224, abs=1e-3)
         assert penalty_pi1(0.913) == pytest.approx(0.301, abs=2e-3)
         assert penalty_pi2(0.913) == pytest.approx(0.231, abs=1e-3)
-
-
-class TestMinimizeScalar:
-    def test_quadratic(self):
-        x, fx = minimize_scalar(lambda x: (x - 1.0) ** 2, -2.0, 4.0, tol=1e-10)
-        assert x == pytest.approx(1.0, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_bad_bracket(self):
-        with pytest.raises(BadBracket):
-            minimize_scalar(lambda x: x, 1.0, 0.0)
-        with pytest.raises(BadBracket):
-            minimize_scalar(lambda x: x, 0.0, 1.0, tol=0.0)
-
-
-class TestChernoff:
-    def test_reference_points(self):
-        assert chernoff_multiplicative(3.0, 0.0, two_sided=True) == 2.0
-        assert chernoff_multiplicative(3.0, 1.0, two_sided=False) == \
-            pytest.approx(math.exp(-1.0))
-        tiny = chernoff_multiplicative(176.0, 10.0 / 11.0, two_sided=True)
-        assert tiny == pytest.approx(2.0 * math.exp(-(10 / 11) ** 2 * 176 / 3))
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            chernoff_multiplicative(0.0, 0.5, two_sided=True)
-        with pytest.raises(DomainError):
-            chernoff_multiplicative(1.0, 1.5, two_sided=True)
-        with pytest.raises(DomainError):
-            chernoff_multiplicative(1.0, -0.1, two_sided=False)
 
 
 class TestConstantTable:

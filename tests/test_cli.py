@@ -283,10 +283,10 @@ REPORT_SHA256 = {
         "f22720641419671cc7f4f5e6294bf17a5e2f13a69ed15095bbab52ffd18cc8f6"),
     "constants-json": (
         ("constants",),
-        "c40a67e8c7af36fa0e87ea70a480722680b22565f00008268b25c4a7aaaa436e"),
+        "3126f1802daa8171fe756fd40953d5ae2fe17897eeaedde7558a5ce8ab709927"),
     "constants-csv": (
         ("constants", "--format", "csv"),
-        "61a9503f177423faa9d5bafcd3f5a544f88302b53bc1c03daef07e093c7fcf0d"),
+        "9f86add7308cde627502eefc02c78c8b675cae0f06cfcff420f6f2a56b839beb"),
     "verify-ufamily": (
         ("verify", "--what", "ufamily", "--n", "65536", "--alpha", "10", "--k1", "4",
          "--k3", "64", "--seed", "1"),
@@ -460,11 +460,13 @@ class TestExitCodes:
         (("--k1", "-1"), "k1 must be at least 0, got -1"),
         (("--k1", "0", "--k3", "0"), "k3 must be at least 1, got 0"),
         (("--n", "0"), "n must be at least 2, got 0"),
-        (("--n", "1"), "n must be at least 2, got 1")],
-        ids=["k1-negative", "k3-zero", "n-zero", "n-one"])
+        (("--n", "1"), "n must be at least 2, got 1"),
+        (("--alpha", "-1"), "alpha must be at least 0, got -1")],
+        ids=["k1-negative", "k3-zero", "n-zero", "n-one", "alpha-negative"])
     def test_usage_error_on_a_ufamily_size_that_builds_nothing(self, capsys, argv, named):
         # these gave a TypeError or ZeroDivisionError traceback, "math domain
-        # error", or a resource error
+        # error", or a resource error (at alpha < 0 after 100 draws, as the
+        # size window's upper end (2*alpha + 1)*log2(n) falls below log2(n))
         code, out, err = run(capsys, "verify", "--what", "ufamily", *argv)
         assert code == USAGE_ERROR and out == ""
         assert err == f"error: {named}\n"
@@ -480,6 +482,16 @@ class TestExitCodes:
                              "--trials", "10", "--seed", "0")
         assert code == USAGE_ERROR and out == ""
         assert err == f"error: threshold must be finite and nonnegative, got {float(d)}\n"
+
+    @pytest.mark.parametrize("trials", ["3", "-5"])
+    def test_usage_error_on_fewer_than_two_trials_per_order(self, multiunit_file, capsys,
+                                                            trials):
+        # the two-order file ran 2 trials per order (4 in all) at --trials 3
+        # and at --trials -5, while the report's config gave the number asked
+        code, out, err = run(capsys, "ratio", "--instance", multiunit_file,
+                             "--policy", "greedy", "--trials", trials, "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: need at least 2 trials per order (4 for 2 orders), got {trials}\n"
 
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",

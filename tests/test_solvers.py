@@ -4,6 +4,7 @@ closed-form values on the calibration instances, and resource guards."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -27,7 +28,7 @@ from ocrlab.policies import (AlwaysDiscardPolicy, GreedyPolicy, Knowledge,
                              parse_policy_spec)
 from ocrlab import solvers
 from ocrlab.solvers import (MAX_REALIZATIONS, SolverLimits, SolveResult, _expectimax,
-                            _iter_realizations, _order_trie, eval_policy_exact,
+                            _order_trie, _realization_blocks, eval_policy_exact,
                             exhaustive_policy_search, max_feasible_sum,
                             opt_aware_exact, opt_unaware_exact, prophet_exact,
                             ratio_exact)
@@ -458,6 +459,33 @@ class TestProphet:
         monkeypatch.setattr(solvers, "PROPHET_ROWS", 5)
         assert [prophet_exact(i) for i in instances] == whole
 
+    def test_blocks_list_the_product_support(self, monkeypatch):
+        # a 3-atom element and 2-atom elements between deterministic ones;
+        # the reference is one realization at a time, a running product of
+        # the probabilities in id order
+        dists = (ValueDistribution.deterministic(2.0),
+                 ValueDistribution(((0.0, 0.1), (1.5, 0.3), (4.0, 0.6))),
+                 ValueDistribution(((0.5, 0.7), (3.0, 0.3))),
+                 ValueDistribution.deterministic(1.25),
+                 ValueDistribution(((0.0, 0.45), (2.5, 0.55))),
+                 ValueDistribution.deterministic(0.0),
+                 ValueDistribution(((0.2, 0.9), (0.7, 0.1))))
+        instance = Instance(name="mixed", dists=dists,
+                            feasibility=KUniformOracle(n=len(dists), k=2))
+        stochastic = [i for i, d in enumerate(dists) if not d.is_deterministic]
+        expected = []
+        for combo in itertools.product(*(dists[i].atoms for i in stochastic)):
+            values = [d.atoms[0][0] for d in dists]
+            prob = 1.0
+            for i, (v, p) in zip(stochastic, combo):
+                values[i] = v
+                prob *= p
+            expected.append((values, prob))
+        monkeypatch.setattr(solvers, "PROPHET_ROWS", 5)
+        blocks = list(_realization_blocks(instance))
+        assert [len(probs) for _, probs in blocks] == [5, 5, 5, 5, 4]
+        assert [(row.tolist(), prob) for row, prob in _realizations(instance)] == expected
+
     def test_a_block_matches_row_by_row(self):
         rng = np.random.default_rng(31)
         for oracle in [KUniformOracle(n=6, k=2), TreePathOracle(k=2), nested_demo(),
@@ -477,10 +505,17 @@ class TestProphet:
         instance = Instance(name="no-neighbours", dists=dists, feasibility=oracle)
         family = materialize(oracle)
         brute = sum(prob * max(sum(values[e] for e in s) for s in family)
-                    for values, prob in _iter_realizations(instance))
+                    for values, prob in _realizations(instance))
         result = prophet_exact(instance)
         assert result.states_expanded == 2 ** oracle.n
         assert result.value == pytest.approx(brute, abs=1e-12)
+
+
+def _realizations(instance):
+    """Every value realization and its probability, row by row from the
+    prophet's blocks."""
+    for values, probs in _realization_blocks(instance):
+        yield from zip(values, probs.tolist())
 
 
 def _explicit_copy(instance):
@@ -518,7 +553,7 @@ def _enumerated(policy, instance, knowledge) -> float:
     its probability, run step by step through ``run_policy``."""
     pstate = policy.start(instance, knowledge if policy.aware else Knowledge())
     return sum(prob * run_policy(policy, instance, knowledge.order, values, pstate).total
-               for values, prob in _iter_realizations(instance))
+               for values, prob in _realizations(instance))
 
 
 class TestPolicyEvaluation:
