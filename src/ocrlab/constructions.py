@@ -51,8 +51,8 @@ def build_tree_instance(k: int) -> Instance:
 
 
 def tree_r_node_count(k: int) -> int:
-    """Nodes with an r-subset, 1 + k + ... + k**(k-3): the root in row 0,
-    and node id e of the layers 1..k-3 in row e + 1."""
+    """Nodes with an r-subset, 1 + k + ... + k**(k-3): the root in row 0 and
+    node e of layers 1..k-3 in row e + 1; entry [i, j] is child id i*k + j."""
     return (k ** (k - 2) - 1) // (k - 1)
 
 
@@ -72,19 +72,20 @@ def _sample_tree_raw(k: int, seed: int, trials: Sequence[int]) -> np.ndarray:
 
 
 def tree_good_layers(k: int, in_r: np.ndarray) -> list[np.ndarray]:
-    """Good labels of layers 1..k-2 from r-subsets shaped (..., nodes, k), as
+    """Good labels of layers 1..k from r-subsets shaped (..., nodes, k), as
     arrays shaped (..., k**layer): a node is good when its parent is good
-    (the root is) and it lies in its parent's r-subset."""
+    (the root is) and, down to layer k-2, it lies in its parent's r-subset;
+    the two deepest layers inherit their parent's label."""
     batch = in_r.shape[:-2]
+    member = in_r.reshape(batch + (in_r.shape[-2] * k,))  # by element id
+    offs = tree_layout(k).offsets
     good = np.ones(batch + (1,), dtype=bool)
     layers = []
-    first = 0
-    for layer in range(1, k - 1):
-        width = k ** (layer - 1)
-        member = in_r[..., first: first + width, :].reshape(batch + (width * k,))
-        good = np.repeat(good, k, axis=-1) & member
+    for layer in range(1, k + 1):
+        good = np.repeat(good, k, axis=-1)
+        if layer <= k - 2:
+            good &= member[..., offs[layer - 1]: offs[layer]]
         layers.append(good)
-        first += width
     return layers
 
 
@@ -147,21 +148,13 @@ def tree_arrival_positions(k: int) -> np.ndarray:
 
 def sample_tree_order(instance: Instance, seed: int, trial: int) -> Knowledge:
     """One draw of the tree order distribution, as the aware policies'
-    ``Knowledge``: draw the r-subsets, expand the arrival order
-    (``_expand_tree_order``), and label every element good or bad (good =
-    every branching step lies in its node's r-subset)."""
+    ``Knowledge``: draw the r-subsets, label every element good or bad
+    (``tree_good_layers``), and expand the arrival order
+    (``_expand_tree_order``). The expansion reads the r-subsets of good
+    nodes only, and there they equal the children's labels."""
     k = instance.feasibility.k
-    offs = tree_layout(k).offsets
-    in_r = _sample_tree_raw(k, seed, [trial])[0]
-    order = _expand_tree_order(
-        k, lambda layer, idx: in_r[offs[layer - 1] + idx + 1 if layer else 0])
-
-    # the two deepest layers inherit their parent's label
-    layers = tree_good_layers(k, in_r)
-    prev = layers[-1] if layers else np.ones(1, dtype=bool)
-    for _ in range(2):
-        prev = np.repeat(prev, k)
-        layers.append(prev)
+    layers = tree_good_layers(k, _sample_tree_raw(k, seed, [trial])[0])
+    order = _expand_tree_order(k, lambda layer, idx: layers[layer][idx * k: idx * k + k])
     return Knowledge(tuple(order), np.concatenate(layers))
 
 

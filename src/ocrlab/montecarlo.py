@@ -247,28 +247,22 @@ def _tree_tables(k: int) -> _TreeTables:
     return _TreeTables(poskey, pad, (1 << shift) - 1, lo, hi, layer, bit)
 
 
-def _tree_aware_total(k: int, in_r: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """Per trial of a block: at each layer, the first candidate child of the
-    tip worth 1, else the last candidate; candidates are the tip's r-subset
-    down to layer k-2 and all its children below."""
+def _tree_aware_total(k: int, good: list[np.ndarray], v1: np.ndarray) -> np.ndarray:
+    """Per trial of a block: at each layer, the first good child of the tip
+    worth 1, else the last good child (``good`` as ``tree_good_layers``)."""
     offs = tree_layout(k).offsets
-    rows = np.arange(len(v1))
+    rows = np.arange(len(v1))[:, None]
     kids = np.arange(k)
     tip = np.zeros(len(v1), dtype=np.intp)
     total = np.zeros(len(v1), dtype=np.int64)
-    node = 0  # r-row of the first node in the tip's layer
     for layer in range(1, k + 1):
-        hit = v1[rows[:, None], offs[layer - 1] + tip[:, None] * k + kids]
-        if layer <= k - 2:
-            cand = in_r[rows, node + tip]
-            hit &= cand
-            fallback = k - 1 - np.argmax(cand[:, ::-1], axis=1)
-            node += k ** (layer - 1)
-        else:
-            fallback = k - 1
+        child = tip[:, None] * k + kids
+        cand = good[layer - 1][rows, child]
+        hit = v1[rows, offs[layer - 1] + child] & cand
         found = hit.any(axis=1)
         total += found
-        tip = tip * k + np.where(found, np.argmax(hit, axis=1), fallback)
+        last = k - 1 - np.argmax(cand[:, ::-1], axis=1)
+        tip = tip * k + np.where(found, np.argmax(hit, axis=1), last)
     return total
 
 
@@ -332,14 +326,13 @@ def _tree_walk_totals(k: int, rules, arrivals) -> np.ndarray:
     return totals
 
 
-def _tree_arrivals(k: int, in_r: np.ndarray, v1: np.ndarray):
+def _tree_arrivals(k: int, good: list[np.ndarray], v1: np.ndarray):
     """The block's value-1 elements ranked by arrival, as the walker's
     per-element rows shaped (rank, trial). Element e of a trial arrives at
     POS[e, D], D being the layer of its deepest good strict ancestor (capped
     at k-2), which follows layer by layer from the good labels."""
     tables = _tree_tables(k)
     offs = tree_layout(k).offsets
-    good = tree_good_layers(k, in_r)
     key = np.empty(v1.shape, dtype=tables.poskey.dtype)
     depth = np.zeros((len(v1), 1), dtype=np.int8)
     for layer in range(1, k + 1):
@@ -375,15 +368,16 @@ def _tree_chunk(instance, policies, source, seed, start, count) -> np.ndarray:
     for first in range(0, count, block):
         size = min(block, count - first)
         trials = range(start + first, start + first + size)
-        in_r = _sample_tree_raw(k, seed, [source.order_trial(t) for t in trials])
+        good = tree_good_layers(
+            k, _sample_tree_raw(k, seed, [source.order_trial(t) for t in trials]))
         for _ in cell_draws(seed, trials, STREAM_VALUES, u):
             pass  # each trial's uniforms land in its row of u
         v1 = u[:size] < p_one
         cols = slice(first, first + size)
         if aware:
-            totals[aware, cols] = _tree_aware_total(k, in_r, v1)
+            totals[aware, cols] = _tree_aware_total(k, good, v1)
         if walked:
-            walk = _tree_walk_totals(k, distinct, _tree_arrivals(k, in_r, v1))
+            walk = _tree_walk_totals(k, distinct, _tree_arrivals(k, good, v1))
             totals[walked, cols] = walk[rule_row]
     return totals
 
@@ -492,8 +486,9 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
     (e.g. pinned ``TreeOrders``). ``references`` is one exact optimum (float)
     or aware reference policy per order; policy references make the
     denominator a lower bound on the true optimum, which is flagged.
-    Numerator and denominator share the seed, so both sides see the same
-    value realizations and the gap estimate is far more stable than the
+    ``trials`` is split evenly over the orders, at least 2 each. Numerator
+    and denominator share the seed, so both sides see the same value
+    realizations and the gap estimate is far more stable than the
     individual means.
     """
     if isinstance(orders, FiniteOrderDistribution):
@@ -508,6 +503,8 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
     if trials < 2 * n_orders:
         raise ValueError(f"need at least 2 trials per order ({2 * n_orders} for "
                          f"{n_orders} orders), got {trials}")
+    if trials % n_orders:
+        raise ValueError(f"trials must be a multiple of the {n_orders} orders, got {trials}")
     per_order_trials = trials // n_orders
     rows: list[RatioRow] = []
     notes: list[str] = []

@@ -493,6 +493,14 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == ""
         assert err == f"error: need at least 2 trials per order (4 for 2 orders), got {trials}\n"
 
+    def test_usage_error_on_trials_not_a_multiple_of_the_orders(self, multiunit_file, capsys):
+        # the two-order file ran 2 trials per order at --trials 5, while the
+        # report's config gave 5
+        code, out, err = run(capsys, "ratio", "--instance", multiunit_file,
+                             "--policy", "greedy", "--trials", "5", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == "error: trials must be a multiple of the 2 orders, got 5\n"
+
     def test_resource_error_on_scaled_capacity(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--construction", "nested-scaled",
                          "--k1", "2", "--k2", "8", "--k3", "8", "--usize", "3",

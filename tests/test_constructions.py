@@ -61,8 +61,9 @@ class TestTreeInstance:
         assert set(r) == {(), (1,), (2,), (3,), (4,)}
         assert all(len(s) == 2 for s in r.values())
 
-    def test_k4_good_labels_match_r(self):
-        inst = build_tree_instance(4)
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_good_labels_match_r(self, k):
+        inst = build_tree_instance(k)
         oracle = inst.feasibility
         real = sample_tree_order(inst, seed=9, trial=2)
         r = r_subsets(inst, 9, 2)
@@ -70,7 +71,7 @@ class TestTreeInstance:
             s = oracle.string_of(e)
             # good iff every branching step (the first min(k-2, len) chars)
             # lies in the r-subset of the node it leaves
-            expect = all((s[d] - 1) in r[s[:d]] for d in range(min(2, len(s))))
+            expect = all((s[d] - 1) in r[s[:d]] for d in range(min(k - 2, len(s))))
             assert bool(real.good[e]) == expect, (e, s)
 
     def test_k4_good_subtrees_top_down_bad_bottom_up(self):

@@ -188,15 +188,17 @@ class TestTreePolicies:
         with pytest.raises(ValueError):
             TreeGamblePolicy(-1)
 
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [2, 4, 6])
     def test_fast_walkers_match_generic_bit_exactly(self, k):
         inst = build_tree_instance(k)
-        # k = 2 spans two chunks; k = 4 spans several of the fast path's trial blocks
-        trials = CHUNK_SIZE + 10 if k == 2 else 300
+        # k = 2 spans two chunks; k = 4 spans several of the fast path's trial
+        # blocks; k = 6 has four branching layers and one trial a block
+        trials = {2: CHUNK_SIZE + 10, 4: 300, 6: 4}[k]
         assert trials > min(CHUNK_SIZE, TREE_BLOCK_CELLS // inst.n)
         policies = ([TreeAwarePolicy(), GreedyPolicy(), AlwaysDiscardPolicy()]
                     + [TreeGamblePolicy(l) for l in range(k + 1)])
-        for src in (TreeOrders(), TreeOrders(fixed=5)):
+        sources = (TreeOrders(),) if k == 6 else (TreeOrders(), TreeOrders(fixed=5))
+        for src in sources:
             fast = simulate_many(policies, inst, src, trials=trials, seed=6, fast=True)
             slow = simulate_many(policies, inst, src, trials=trials, seed=6, fast=False)
             for f, s in zip(fast, slow):
