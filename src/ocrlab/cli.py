@@ -118,15 +118,15 @@ def cmd_ratio(args) -> int:
     if orders is None:
         raise ValueError("ratio needs an instance file with orders")
     policy = parse_policy_spec(args.policy)
-    if not args.reference:
-        args.reference = ["exact"]
+    sources = [FixedOrder(o) for o in orders.orders]
+    args.reference = args.reference or ["exact"]
     if args.reference == ["exact"]:
-        references = [opt_aware_exact(instance, o).value for o in orders.orders]
+        references = [opt_aware_exact(instance, s.order).value for s in sources]
     else:
         references = [parse_policy_spec(spec) for spec in args.reference]
         if len(references) == 1:
-            references = references * len(orders.orders)
-    est = estimate_ratio(policy, instance, orders, trials=args.trials,
+            references = references * len(sources)
+    est = estimate_ratio(policy, instance, sources, trials=args.trials,
                          seed=args.seed, references=references, workers=args.workers)
     config = {"instance": instance.name, "policy": args.policy,
               "reference": list(args.reference), "trials": args.trials,

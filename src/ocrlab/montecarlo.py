@@ -199,8 +199,7 @@ def _multiunit_fast_tag(instance, policies, source) -> str | None:
     k = oracle.k
     if not (oracle.n == 4 * k and _has_value_groups(instance, multiunit_blocks(k))
             and isinstance(source, FixedOrder)
-            and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)
-            and all(p.threshold_count(k) <= k for p in policies)):
+            and all(isinstance(p, MultiunitThresholdPolicy) for p in policies)):
         return None
     pi1, pi2 = multiunit_orders(k)
     return "pi1" if source.order == pi1 else "pi2" if source.order == pi2 else None
@@ -423,6 +422,8 @@ def simulate_many(policies: list[Policy], instance: Instance, order_source,
     """Evaluate several policies on shared per-trial realizations."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     order_source = _as_source(order_source, instance)
     engine, tag = _pick_engine(instance, policies, order_source, fast)
     starts = list(range(0, trials, CHUNK_SIZE))
@@ -478,28 +479,22 @@ class RatioEstimate:
     warnings: list[str] = field(default_factory=list)
 
 
-def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistribution,
-                   trials: int, seed: int, references, workers: int = 1) -> RatioEstimate:
+def estimate_ratio(policy: Policy, instance: Instance, sources: list, trials: int,
+                   seed: int, references: list, workers: int = 1) -> RatioEstimate:
     """Per-order ALG/OPT ratio estimates against an aware reference.
 
-    ``orders`` is a finite order distribution or a list of per-order sources
-    (e.g. pinned ``TreeOrders``). ``references`` is one exact optimum (float)
-    or aware reference policy per order; policy references make the
-    denominator a lower bound on the true optimum, which is flagged.
-    ``trials`` is split evenly over the orders, at least 2 each. Numerator
-    and denominator share the seed, so both sides see the same value
-    realizations and the gap estimate is far more stable than the
-    individual means.
+    One order source (e.g. ``FixedOrder``, pinned ``TreeOrders``) and one
+    reference per order: an exact optimum (float), or an aware policy whose
+    mean, a lower bound on the optimum, is flagged. Each order is one
+    ``simulate_many`` call, with the reference policy beside ``policy``, so
+    both sides see the same realizations and the gap estimate is far more
+    stable than the individual means. ``trials`` is split evenly over the
+    orders, at least 2 each.
     """
-    if isinstance(orders, FiniteOrderDistribution):
-        sources = [FixedOrder(o) for o in orders.orders]
-    else:
-        sources = list(orders)
     n_orders = len(sources)
-    if not isinstance(references, (list, tuple)):
-        references = [references] * n_orders
-    if len(references) != n_orders:
-        raise ValueError("need one reference per order")
+    if not n_orders or len(references) != n_orders:
+        raise ValueError(f"need at least one order and one reference per order, got "
+                         f"{len(references)} references for {n_orders} orders")
     if trials < 2 * n_orders:
         raise ValueError(f"need at least 2 trials per order ({2 * n_orders} for "
                          f"{n_orders} orders), got {trials}")
@@ -509,26 +504,18 @@ def estimate_ratio(policy: Policy, instance: Instance, orders: FiniteOrderDistri
     rows: list[RatioRow] = []
     notes: list[str] = []
     lower_bound = any(isinstance(r, Policy) for r in references)
-    for idx, src in enumerate(sources):
-        ref = references[idx]
-        if isinstance(ref, Policy):
-            num, den = simulate_many([policy, ref], instance, src,
-                                     per_order_trials, seed, workers=workers)
-            den_mean, den_lo, den_hi = den.mean, den.ci95[0], den.ci95[1]
-        else:
-            num = simulate(policy, instance, src, per_order_trials, seed,
-                           workers=workers)
-            den = float(ref)
-            den_mean = den_lo = den_hi = den
+    for idx, (src, ref) in enumerate(zip(sources, references)):
+        paired = isinstance(ref, Policy)
+        num, *rest = simulate_many([policy, ref] if paired else [policy], instance, src,
+                                   per_order_trials, seed, workers=workers)
+        den = rest[0] if paired else float(ref)
+        den_mean, den_lo, den_hi = (den.mean, *den.ci95) if paired else (den, den, den)
         if den_mean <= 0.0:
             notes.append(f"order {idx}: reference value is 0, ratio undefined")
             rows.append(RatioRow(idx, num, den, None, None))
             continue
-        ratio = num.mean / den_mean
-        ci = None
-        if den_lo > 0.0:
-            ci = (num.ci95[0] / den_hi, num.ci95[1] / den_lo)
-        rows.append(RatioRow(idx, num, den, ratio, ci))
+        ci = (num.ci95[0] / den_hi, num.ci95[1] / den_lo) if den_lo > 0.0 else None
+        rows.append(RatioRow(idx, num, den, num.mean / den_mean, ci))
     defined = [r.ratio for r in rows if r.ratio is not None]
     return RatioEstimate(rows=rows, min_ratio=min(defined) if defined else None,
                          denominator_is_lower_bound=lower_bound, warnings=notes)

@@ -267,15 +267,15 @@ class MultiunitThresholdPolicy(Policy):
             raise ValueError(f"{self.name} needs a k-uniform oracle with n = 4k, "
                              f"not n={oracle.n}, k={self._k}")
         self._m = self.threshold_count(self._k)
-        if self._m > self._k:
-            raise BadThreshold(
-                f"d={self.d} asks for {self._m} > k={self._k} threshold selections")
         return 0, 0
 
     def threshold_count(self, k: int) -> int:
         """floor(d*sqrt(k/2)): how many 7/4-valued elements to select at
-        capacity k."""
-        return math.floor(self.d * math.sqrt(k / 2))
+        capacity k; above k is refused before flooring, which fails on inf."""
+        count = self.d * math.sqrt(k / 2)
+        if not count < k + 1:
+            raise BadThreshold(f"d={self.d} asks for more than k={k} threshold selections")
+        return math.floor(count)
 
     def decide(self, pstate, e, v):
         a_taken, c_seen = pstate

@@ -483,6 +483,32 @@ class TestExitCodes:
         assert code == USAGE_ERROR and out == ""
         assert err == f"error: threshold must be finite and nonnegative, got {float(d)}\n"
 
+    @pytest.mark.parametrize("d", ["1.7e308", "1e307"])
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--policy", "{spec}"),
+        ("ratio", "--policy", "{spec}"),
+        ("ratio", "--policy", "greedy", "--reference", "{spec}")],
+        ids=["simulate", "ratio-policy", "ratio-reference"])
+    def test_usage_error_on_a_threshold_above_k(self, multiunit_file, capsys, argv, d):
+        # d=1.7e308 overflowed to infinity inside floor (an OverflowError
+        # traceback); d=1e307 exited 2, naming a 300-digit count
+        spec = f"multiunit_threshold:d={d},variant=pi1"
+        code, out, err = run(capsys, *(a.format(spec=spec) for a in argv),
+                             "--instance", multiunit_file, "--trials", "10", "--seed", "0")
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: d={float(d)} asks for more than k=4 threshold selections\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_usage_error_on_fewer_than_one_worker(self, multiunit_file, capsys, command,
+                                                  workers):
+        # both ran serially and exited 0
+        code, out, err = run(capsys, command, "--instance", multiunit_file,
+                             "--policy", "greedy", "--trials", "10", "--seed", "0",
+                             "--workers", workers)
+        assert code == USAGE_ERROR and out == ""
+        assert err == f"error: workers must be at least 1, got {workers}\n"
+
     @pytest.mark.parametrize("trials", ["3", "-5"])
     def test_usage_error_on_fewer_than_two_trials_per_order(self, multiunit_file, capsys,
                                                             trials):

@@ -236,11 +236,16 @@ class TestTraces:
         assert all(len(t.steps) == 1 for t in traces)
 
 
+def multiunit_sources(k: int):
+    inst, orders = build_multiunit_instance(k)
+    return inst, [FixedOrder(o) for o in orders.orders]
+
+
 class TestRatioEstimation:
     def test_exact_reference_denominators(self):
-        inst, orders = build_multiunit_instance(4)
+        inst, sources = multiunit_sources(4)
         policy = MultiunitThresholdPolicy(0.913, "unaware")
-        est = estimate_ratio(policy, inst, orders, trials=2000, seed=2,
+        est = estimate_ratio(policy, inst, sources, trials=2000, seed=2,
                              references=[7.0, 8.0])
         assert not est.denominator_is_lower_bound
         assert [r.denominator for r in est.rows] == [7.0, 8.0]
@@ -249,26 +254,45 @@ class TestRatioEstimation:
         assert est.min_ratio == min(r.ratio for r in est.rows)
 
     def test_policy_reference_is_flagged_and_paired(self):
-        inst, orders = build_multiunit_instance(4)
+        inst, sources = multiunit_sources(4)
         policy = MultiunitThresholdPolicy(0.913, "pi1")
-        est = estimate_ratio(policy, inst, orders, trials=2000, seed=2,
-                             references=policy)
+        est = estimate_ratio(policy, inst, sources, trials=2000, seed=2,
+                             references=[policy, policy])
         assert est.denominator_is_lower_bound
         # numerator and denominator share realizations: identical policies
-        # give ratio exactly 1 with a degenerate interval
+        # give ratio exactly 1, inside (num_lo / den_hi, num_hi / den_lo)
         for row in est.rows:
             assert row.ratio == 1.0
             assert row.ratio_ci[0] <= 1.0 <= row.ratio_ci[1]
 
+    def test_mixed_references_run_each_order_as_one_call(self):
+        # an exact reference runs the policy alone; a policy reference runs
+        # beside it on the same trials, and flags the whole estimate
+        inst, sources = multiunit_sources(4)
+        policy, ref = GreedyPolicy(), MultiunitThresholdPolicy(1.152, "pi1")
+        est = estimate_ratio(policy, inst, sources, trials=600, seed=4,
+                             references=[7.0, ref])
+        assert est.denominator_is_lower_bound
+        assert est.rows[0].numerator == simulate(policy, inst, sources[0], 300, 4)
+        assert est.rows[0].denominator == 7.0
+        num, den = simulate_many([policy, ref], inst, sources[1], 300, 4)
+        assert (est.rows[1].numerator, est.rows[1].denominator) == (num, den)
+
     def test_reference_count_must_match_orders(self):
-        inst, orders = build_multiunit_instance(4)
+        inst, sources = multiunit_sources(4)
         with pytest.raises(ValueError):
-            estimate_ratio(GreedyPolicy(), inst, orders, trials=100, seed=0,
+            estimate_ratio(GreedyPolicy(), inst, sources, trials=100, seed=0,
                            references=[1.0])
 
+    def test_no_orders_is_refused(self):
+        # no orders gave "integer modulo by zero" when splitting the trials
+        inst, _ = multiunit_sources(4)
+        with pytest.raises(ValueError, match="at least one order"):
+            estimate_ratio(GreedyPolicy(), inst, [], trials=10, seed=0, references=[])
+
     def test_zero_reference_is_excluded_with_warning(self):
-        inst, orders = build_multiunit_instance(4)
-        est = estimate_ratio(GreedyPolicy(), inst, orders, trials=100, seed=0,
+        inst, sources = multiunit_sources(4)
+        est = estimate_ratio(GreedyPolicy(), inst, sources, trials=100, seed=0,
                              references=[0.0, 5.0])
         assert est.rows[0].ratio is None and est.warnings
         assert est.min_ratio == est.rows[1].ratio
